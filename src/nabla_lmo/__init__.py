@@ -3,10 +3,8 @@ and rank-one manifolds, surgery linking calculus, formal Gaussian strut
 integration, and the even-wheel data they determine."""
 
 from .alexander import (
-    ManifoldNabla,
     NablaResult,
     nabla_from_seifert,
-    nabla_manifold,
     normalize_delta,
 )
 from .errors import DomainError, ParseError
@@ -68,7 +66,6 @@ __all__ = [
     "HSeries",
     "HalfLaurent",
     "LmoWheelData",
-    "ManifoldNabla",
     "NablaResult",
     "ParseError",
     "RealizabilityReport",
@@ -89,7 +86,6 @@ __all__ = [
     "mmr_series",
     "nabla_from_lmo_wheel_data",
     "nabla_from_seifert",
-    "nabla_manifold",
     "normalize_delta",
     "nu_wheels",
     "realizability_report",

@@ -2,9 +2,11 @@
 
 For a Seifert matrix V of an ℓ-component link, the polynomial is
 det(t^(1/2) V - t^(-1/2) V*), which always lies in z^(ℓ-1) · Q[z^2] for
-z = t^(1/2) - t^(-1/2) and is fixed by t^(1/2) -> -t^(-1/2). The determinant
-is computed by fraction-free (Bareiss) elimination over the Laurent ring,
-which keeps every intermediate entry polynomial.
+z = t^(1/2) - t^(-1/2) and is fixed by t^(1/2) -> -t^(-1/2). For V of size
+n it equals t^(-n/2) det(tV - V*), and det(tV - V*) is a polynomial in t of
+degree at most n, so its values at the n+1 integers t = 0..n fix it. Each
+value is one exact rational determinant (`matrices.det`); Newton
+interpolation turns the values back into coefficients.
 """
 
 from __future__ import annotations
@@ -12,34 +14,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import matrices
 from .errors import DomainError
 from .laurent import HalfLaurent, ZPoly, rewrite_in_z
 from .seifert import SeifertMatrix
 
 
-def _det_half_laurent(rows: list[list[HalfLaurent]]) -> HalfLaurent:
-    """Bareiss fraction-free determinant; divisions are exact by construction."""
-    n = len(rows)
-    if n == 0:
-        return HalfLaurent.one()
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = HalfLaurent.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            r = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if r is None:
-                return HalfLaurent.zero()
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = HalfLaurent.zero()
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+def _interpolate(values: list[Fraction]) -> list[Fraction]:
+    """Coefficients, lowest first, of the polynomial of degree < len(values)
+    taking values[i] at t = i: Newton divided differences, then the Newton
+    form expanded by Horner's rule."""
+    n = len(values)
+    diffs = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    coeffs: list[Fraction] = []
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (t - k) + diffs[k]
+        coeffs = [Fraction(0)] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= k * coeffs[j + 1]
+        coeffs[0] += diffs[k]
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,11 @@ def nabla_from_seifert(v: SeifertMatrix, components: int = 1) -> NablaResult:
         )
     e = v.entries
     n = v.size
-    rows = [
-        [HalfLaurent({1: e[i][j], -1: -e[j][i]}) for j in range(n)]
-        for i in range(n)
+    values = [
+        matrices.det([[t * e[i][j] - e[j][i] for j in range(n)] for i in range(n)])
+        for t in range(n + 1)
     ]
-    d = _det_half_laurent(rows)
+    d = HalfLaurent({2 * k - n: c for k, c in enumerate(_interpolate(values))})
     try:
         z_form = rewrite_in_z(d, components - 1)
     except DomainError:
@@ -132,32 +129,3 @@ def normalize_delta(delta: HalfLaurent, h1_order: int) -> NablaResult:
         )
     nabla = shifted * Fraction(eps, h1_order)
     return NablaResult(nabla, rewrite_in_z(nabla, 0), 1)
-
-
-@dataclass(frozen=True)
-class ManifoldNabla:
-    """The polynomial of a closed rank-one manifold presented by 0-surgery on
-    a null-homologous knot, with the torsion order of its first homology."""
-
-    nabla: NablaResult
-    torsion_order: int
-
-
-def nabla_manifold(v: SeifertMatrix, h1_order_of_m: int) -> ManifoldNabla:
-    """Polynomial of the manifold obtained by 0-framed surgery on the knot
-    with Seifert matrix V inside a rational homology sphere M.
-
-    The defining normalization forces the value 1 at t = 1; inputs violating
-    it are rejected.
-    """
-    if h1_order_of_m < 1:
-        raise DomainError("h1_order must be a positive integer")
-    result = nabla_from_seifert(v, 1)
-    if result.at_one != 1:
-        raise DomainError(
-            f"value at t = 1 is {result.at_one}, not 1; "
-            "not the Seifert matrix of a null-homologous knot surface"
-        )
-    if result.polynomial.involution() != result.polynomial:
-        raise DomainError("polynomial is not symmetric")  # unreachable for real input
-    return ManifoldNabla(result, h1_order_of_m)

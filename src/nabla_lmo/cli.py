@@ -118,7 +118,10 @@ def _cmd_wheels(args) -> int:
     source = args.from_series
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
-            source = fh.read().strip()
+            try:
+                source = fh.read().strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{source}: not UTF-8 text ({exc})") from None
     print(wheels_from_series(parse_h_series(source, order)))
     return 0
 

@@ -55,10 +55,3 @@ def load_fixtures() -> tuple[Fixture, ...]:
             raise DomainError(f"fixture {name}: table says {expected}, computed {computed}")
         out.append(fixture)
     return tuple(out)
-
-
-def get_fixture(name: str) -> Fixture:
-    for fixture in load_fixtures():
-        if fixture.name == name:
-            return fixture
-    raise DomainError(f"unknown fixture {name!r}")

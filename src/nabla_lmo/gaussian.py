@@ -26,7 +26,7 @@ from . import matrices
 from .errors import DomainError
 from .matrices import Matrix
 from .seifert import SeifertMatrix
-from .surgery import FramedLinkMatrix, surgery_transform
+from .surgery import FramedLinkMatrix, _surgery_block_inverse, surgery_transform
 
 Scalar = Union[int, Fraction]
 Strut = tuple[str, str]
@@ -268,11 +268,7 @@ def right_pairing_factor(m: FramedLinkMatrix, max_degree: int) -> StrutPolynomia
     surgery block; this is the Gaussian weight glued against X' legs."""
     if not m.surgery_labels:
         return StrutPolynomial.one()
-    try:
-        inv = matrices.inverse(m.surgery_block)
-    except ValueError:
-        labels = ", ".join(m.surgery_labels)
-        raise DomainError(f"singular surgery block over labels ({labels})") from None
+    inv = _surgery_block_inverse(m)
     entries = []
     for i, a in enumerate(m.surgery_labels):
         for j in range(i, len(m.surgery_labels)):

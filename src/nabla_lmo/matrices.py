@@ -1,12 +1,16 @@
-"""Small exact matrices over the rationals, stored as tuples of tuples.
+"""Exact matrices over the rationals, stored as tuples of tuples.
 
-Sizes stay in the single digits everywhere in this package, so plain
-Gauss-Jordan over `fractions.Fraction` is both exact and fast enough.
+`det`, `rank` and `inverse` share one elimination kernel. It scales each
+row once by the lcm of its denominators and then runs integer fraction-free
+(Bareiss) elimination on plain ints: every intermediate entry is a minor of
+the scaled matrix, so each division is exact and no Fraction is built until
+the answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -81,62 +85,56 @@ def is_integral(a: Matrix) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 
 
+def _eliminate(rows, width: int, reduce: bool = False) -> tuple[int, Fraction, list[list[int]]]:
+    """Bareiss elimination of rational ``rows`` over their first ``width``
+    columns, with row pivoting; columns without a pivot are skipped. With
+    ``reduce`` the rows above each pivot are cleared too (fraction-free
+    Gauss-Jordan), so a nonsingular square block ends as d*I, d the last
+    pivot.
+
+    Returns (rank, det, work); ``det`` is the determinant of ``rows`` when
+    they are ``width`` square, and 0 when that block is singular.
+    """
+    work = []
+    scale = 1
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        scale *= m
+        work.append([x.numerator * (m // x.denominator) for x in row])
+    sign, prev, r = 1, 1, 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        p, pivot_row = work[r][c], work[r]
+        for i in range(0 if reduce else r + 1, len(work)):
+            if i != r:
+                f = work[i][c]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], pivot_row)]
+        prev = p
+        r += 1
+    full = r == width == len(work)
+    return r, Fraction(sign * prev, scale) if full else Fraction(0), work
+
+
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; ValueError when singular."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination; ValueError
+    when singular. The right half ends as d*A^-1, d the last pivot."""
     n = len(a)
-    work = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    r, _, work = _eliminate(augmented, n, reduce=True)
+    if r < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(work))
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with row pivoting."""
-    n = len(a)
-    work = [list(row) for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = -result
-        result *= work[col][col]
-        inv_p = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv_p
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return result
+    """Exact determinant by fraction-free elimination with row pivoting."""
+    return _eliminate(a, len(a))[1]
 
 
 def rank(a: Matrix) -> int:
-    rows = [list(row) for row in a]
-    rk = 0
-    ncols = len(a[0]) if a else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv_p = 1 / rows[row][col]
-        for r in range(row + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv_p
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
-        row += 1
-        rk += 1
-        if row == len(rows):
-            break
-    return rk
+    return _eliminate(a, len(a[0]) if a else 0)[0]

@@ -200,6 +200,8 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _matrix_rows(data, path: str):

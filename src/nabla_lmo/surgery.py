@@ -114,16 +114,21 @@ class FramedLinkMatrix:
         )
 
 
+def _surgery_block_inverse(m: FramedLinkMatrix) -> Matrix:
+    """Inverse of the X' block; DomainError naming the labels when singular."""
+    try:
+        return matrices.inverse(m.surgery_block)
+    except ValueError:
+        labels = ", ".join(m.surgery_labels)
+        raise DomainError(f"singular surgery block over labels ({labels})") from None
+
+
 def surgery_transform(m: FramedLinkMatrix) -> Matrix:
     """Linking matrix of the residual components after the surgery components
     are integrated out: the Schur complement of the X' block."""
     if not m.surgery_labels:
         return m.residual_block
-    try:
-        inv = matrices.inverse(m.surgery_block)
-    except ValueError:
-        labels = ", ".join(m.surgery_labels)
-        raise DomainError(f"singular surgery block over labels ({labels})") from None
+    inv = _surgery_block_inverse(m)
     b = m.mixed_block
     correction = matrices.matmul(matrices.matmul(b, inv), matrices.transpose(b))
     return matrices.sub(m.residual_block, correction)

@@ -210,6 +210,14 @@ def test_exit_codes(capsys, tmp_path):
     assert rc == 1
     assert err.startswith("error:")
 
+    not_utf8 = tmp_path / "bad.json"
+    not_utf8.write_bytes(b'{"matrix": [["\xff"]]}')
+    for argv in (("nabla", "--seifert"), ("wheels", "--from-series")):
+        rc, out, err = run(capsys, *argv, str(not_utf8))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     with pytest.raises(SystemExit) as exit_info:
         main(["no-such-command"])
     assert exit_info.value.code == 2

@@ -1,0 +1,104 @@
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+
+from oracles import det_cofactor
+from nabla_lmo.matrices import as_matrix, det, identity, inverse, matmul, rank, submatrix
+
+RATIONALS = [Fraction(0)] * 4 + [Fraction(k, d) for k in (-5, -1, 1, 2, 7) for d in (1, 2, 3)]
+
+
+def random_matrix(rng, n, m):
+    return as_matrix([[rng.choice(RATIONALS) for _ in range(m)] for _ in range(n)])
+
+
+def rank_by_minors(a):
+    """Size of the largest square submatrix with nonzero cofactor determinant."""
+    n, m = len(a), len(a[0]) if a else 0
+    for k in range(min(n, m), 0, -1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(m), k):
+                if det_cofactor(submatrix(a, rows, cols)) != 0:
+                    return k
+    return 0
+
+
+def adjugate_inverse(a):
+    """A^-1 = adj(A)/det(A) with every cofactor from the oracle."""
+    n = len(a)
+    d = det_cofactor(a)
+    rest = [[k for k in range(n) if k != skip] for skip in range(n)]
+    return tuple(
+        tuple((-1) ** (i + j) * det_cofactor(submatrix(a, rest[j], rest[i])) / d for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_empty_matrix():
+    assert det(()) == 1
+    assert inverse(()) == ()
+    assert rank(()) == 0
+
+
+def test_det_matches_cofactor_oracle():
+    rng = random.Random(3)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, n)
+        assert det(a) == det_cofactor(a)
+
+
+def test_det_sign_under_row_swaps():
+    # permutation matrices: elimination swaps rows and det is the sign of the permutation
+    for perm in permutations(range(4)):
+        p = as_matrix([[Fraction(j == perm[i]) for j in range(4)] for i in range(4)])
+        assert det(p) == det_cofactor(p) in (1, -1)
+    # the first pivot sits in the last row
+    a = as_matrix([[0, 0, "1/2"], [0, 3, 1], ["-2/3", 1, 0]])
+    assert det(a) == det_cofactor(a) == 1
+
+
+def test_rank_of_rectangular_zero_and_deficient_matrices():
+    rng = random.Random(5)
+    zero = as_matrix([[0, 0, 0], [0, 0, 0]])
+    assert rank(zero) == rank_by_minors(zero) == 0
+    for _ in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        a = random_matrix(rng, n, m)
+        assert rank(a) == rank_by_minors(a)
+        # a product through a k-dimensional space has rank at most k
+        k = rng.randint(1, min(n, m))
+        low = matmul(random_matrix(rng, n, k), random_matrix(rng, k, m))
+        assert rank(low) == rank_by_minors(low) <= k
+
+
+def test_inverse_of_rational_matrices_with_zero_leading_entry():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 5)
+        rows = [list(row) for row in random_matrix(rng, n, n)]
+        rows[0][0] = Fraction(0)
+        a = as_matrix(rows)
+        if det_cofactor(a) == 0:
+            continue
+        inv = inverse(a)
+        assert inv == adjugate_inverse(a)
+        assert matmul(a, inv) == identity(n)
+        checked += 1
+
+
+def test_singular_matrix_raises():
+    singular = [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [["1/2", "1/3", 1], ["1/4", "1/6", "1/2"], [0, 1, 5]],
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    ]
+    for rows in singular:
+        a = as_matrix(rows)
+        assert det(a) == det_cofactor(a) == 0
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            inverse(a)
