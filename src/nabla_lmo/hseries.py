@@ -212,17 +212,19 @@ def _coerce(value, order: int) -> HSeries | None:
     return None
 
 
-def c_series(order: int = DEFAULT_ORDER) -> HSeries:
-    """The series of h / (e^(h/2) - e^(-h/2)).
-
-    The denominator equals h * sum_k h^(2k) / (4^k (2k+1)!), so the result is
-    the reciprocal of that even series: 1 - h^2/24 + 7h^4/5760 - ...
-    """
+def _z_over_h_series(order: int) -> HSeries:
+    """The series of (e^(h/2) - e^(-h/2)) / h = sum_k h^(2k) / (4^k (2k+1)!)."""
     cs = [Fraction(0)] * (order + 1)
     for m in range(0, order + 1, 2):
-        k = m // 2
-        cs[m] = Fraction(1, 4 ** k * factorial(m + 1))
-    return HSeries(cs, order).reciprocal()
+        cs[m] = Fraction(1, 4 ** (m // 2) * factorial(m + 1))
+    return HSeries(cs, order)
+
+
+def c_series(order: int = DEFAULT_ORDER) -> HSeries:
+    """The series of h / (e^(h/2) - e^(-h/2)): the reciprocal of the
+    closed-form even series above, 1 - h^2/24 + 7h^4/5760 - ...
+    """
+    return _z_over_h_series(order).reciprocal()
 
 
 def exp_series(a: Fraction, order: int) -> HSeries:

@@ -10,6 +10,9 @@ manifold obtained by 0-surgery inside a rational homology sphere with
 |H1| = r, passing to the surgery-normalized invariant multiplies degree-2n
 data by r^(2n). Both directions of this translation are implemented; the
 inverse direction recognizes the wheel data of a polynomial and recovers it.
+The unknot normalization (the wheels of c(h) alone) is a pure function of
+the truncation order, so wheel data derives it from the order instead of
+storing it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from fractions import Fraction
 
 from .alexander import nabla_from_seifert
 from .errors import DomainError
-from .hseries import DEFAULT_ORDER, HSeries, c_series, series_to_z_poly, substitute_exp
+from .hseries import (
+    DEFAULT_ORDER, HSeries, _z_over_h_series, c_series, series_to_z_poly, substitute_exp
+)
 from .laurent import ZPoly
 from .seifert import SeifertMatrix
 from .wheels import WheelSeries, rescale_degree, w_nabla, wheels_from_series
@@ -48,24 +53,23 @@ def nu_wheels(order: int = DEFAULT_ORDER) -> WheelSeries:
 @dataclass(frozen=True)
 class LmoWheelData:
     """Even-wheel data of the surgery-normalized invariant of a rank-one
-    manifold: wheel coefficients of the knot part, the unknot normalization
-    that accompanies it, the torsion order of first homology, and the
-    truncation order."""
+    manifold: wheel coefficients of the knot part, the torsion order of first
+    homology, and the truncation order. The unknot normalization that
+    accompanies them is derived from the order, not stored."""
 
     knot_wheels: WheelSeries
-    nu_wheels: WheelSeries
     h1_order: int
     order: int
+
+    @property
+    def nu_wheels(self) -> WheelSeries:
+        return nu_wheels(self.order)
 
     def __post_init__(self):
         if self.h1_order < 1:
             raise DomainError("h1_order must be a positive integer")
         if self.order < 0:
             raise DomainError("order must be non-negative")
-        if self.nu_wheels != nu_wheels(self.order):
-            raise DomainError(
-                "nu_wheels disagree with the unknot normalization at this order"
-            )
         if any(k > self.order for k in self.knot_wheels.coefficients):
             raise DomainError("knot wheel indices exceed the truncation order")
 
@@ -76,9 +80,10 @@ def lmo_wheel_data(
     """Wheel data of the rank-one manifold with polynomial ``nabla_m`` and
     torsion order ``tor_order``.
 
-    The polynomial must have prefactor exponent 0 and constant term 1 (its
-    value at t = 1); the knot wheels are degree-rescaled by the torsion
-    order to express the surgery-normalized invariant.
+    The polynomial must have prefactor exponent 0, constant term 1 (its
+    value at t = 1) and z-degree <= order (z^d starts at h^d, so a higher
+    term would be truncated away); the knot wheels are degree-rescaled by
+    the torsion order to express the surgery-normalized invariant.
     """
     if tor_order < 1:
         raise DomainError("tor_order must be a positive integer")
@@ -89,9 +94,14 @@ def lmo_wheel_data(
             f"value at t = 1 is {nabla_m.value_at_z_zero()}, not 1; "
             "not the polynomial of a rank-one manifold"
         )
+    if nabla_m.z_degree > order:
+        raise DomainError(
+            f"z-degree {nabla_m.z_degree} exceeds the truncation order {order}; "
+            f"an order of at least {nabla_m.z_degree} is needed"
+        )
     f = c_series(order) * substitute_exp(nabla_m.expand(), order)
     knot = rescale_degree(wheels_from_series(f), tor_order)
-    return LmoWheelData(knot, nu_wheels(order), tor_order, order)
+    return LmoWheelData(knot, tor_order, order)
 
 
 def nabla_from_lmo_wheel_data(data: LmoWheelData, max_z_degree: int) -> ZPoly:
@@ -104,5 +114,5 @@ def nabla_from_lmo_wheel_data(data: LmoWheelData, max_z_degree: int) -> ZPoly:
     """
     w = rescale_degree(data.knot_wheels, Fraction(1, data.h1_order))
     f = w_nabla(w, data.order)
-    g = f * c_series(data.order).reciprocal()
+    g = f * _z_over_h_series(data.order)
     return series_to_z_poly(g, max_z_degree)

@@ -7,7 +7,8 @@ integers (``t^-1``, ``z^4``), parenthesized integers, or half-integers
 ``+ O(h^N)`` marker produced by the renderer.
 
 Matrix files are JSON with rational entries written as strings ("-1",
-"1/2") or plain integers; floating point numbers are rejected.
+"1/2") or plain integers; floating point numbers and exponent notation
+("1e5") are rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Union
 from .errors import DomainError, ParseError
 from .hseries import HSeries
 from .laurent import HalfLaurent, ZPoly
-from .mmr import LmoWheelData
+from .mmr import LmoWheelData, nu_wheels
 from .seifert import SeifertMatrix
 from .surgery import FramedLinkMatrix
 from .wheels import WheelSeries
@@ -187,6 +188,8 @@ def _rational(value, context: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ParseError(f"{context}: cannot parse rational {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
@@ -295,7 +298,11 @@ def read_lmo_file(path: str) -> LmoWheelData:
         raise ParseError(f"{path}: \"h1_order\" must be a positive integer")
     knot = _wheels_from_json(data["knot_wheels"], f"{path} knot_wheels")
     nu = _wheels_from_json(data["nu_wheels"], f"{path} nu_wheels")
+    if nu != nu_wheels(order):
+        raise ParseError(
+            f"{path}: nu_wheels disagree with the unknot normalization at this order"
+        )
     try:
-        return LmoWheelData(knot, nu, h1, order)
+        return LmoWheelData(knot, h1, order)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None

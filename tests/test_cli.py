@@ -163,6 +163,15 @@ def test_lmo_json_and_invert_round_trip(capsys, tmp_path):
     assert rc == 1
     assert err.startswith("error:")
 
+    payload["nu_wheels"] = {"2": "1"}
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "lmo", "--invert", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        f"error: {path}: nu_wheels disagree with the unknot normalization at this order\n"
+    )
+
 
 def test_roundtrip_command(capsys):
     rc, out, _ = run(
@@ -201,6 +210,23 @@ def test_exit_codes(capsys, tmp_path):
 
     rc, _, err = run(capsys, "roundtrip", "--nabla", "1", "--tor", "1", "--order", "-3")
     assert rc == 2
+
+    for command in ("lmo", "roundtrip"):
+        for nabla in ("1 + z^20", "1 + z^18"):
+            rc, out, err = run(capsys, command, "--nabla", nabla, "--tor", "1", "--order", "16")
+            assert rc == 1
+            assert out == ""
+            assert err.startswith("error: z-degree ") and err.count("\n") == 1
+            assert "truncation order 16" in err
+        rc, _, err = run(capsys, command, "--nabla", "1 + z^16", "--tor", "1", "--order", "16")
+        assert rc == 0 and err == ""
+
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text('{"matrix": [["1e5"]]}')
+    rc, out, err = run(capsys, "nabla", "--seifert", str(exponent))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
     singular = tmp_path / "singular.json"
     singular.write_text(

@@ -65,13 +65,12 @@ def test_aarhus_wheels_reproduce_series():
 
 def test_wheel_data_invariants_enforced():
     with pytest.raises(DomainError):
-        LmoWheelData(WheelSeries(), WheelSeries(), 1, 8)  # wrong nu part
+        LmoWheelData(WheelSeries({10: 1}), 1, 8)  # index beyond order
     with pytest.raises(DomainError):
-        LmoWheelData(WheelSeries({10: 1}), nu_wheels(8), 1, 8)  # index beyond order
-    with pytest.raises(DomainError):
-        LmoWheelData(WheelSeries(), nu_wheels(8), 0, 8)
-    data = LmoWheelData(WheelSeries({2: 1}), nu_wheels(8), 2, 8)
+        LmoWheelData(WheelSeries(), 0, 8)
+    data = LmoWheelData(WheelSeries({2: 1}), 2, 8)
     assert w_nabla(data.knot_wheels, 8).coeff(0) == 1
+    assert data.nu_wheels == nu_wheels(8)
 
 
 def test_lmo_wheel_data_examples():
@@ -94,16 +93,32 @@ def test_lmo_wheel_data_rejections():
         lmo_wheel_data(ZPoly(0, (2, 1)), 1, 8)  # value 2 at t=1
     with pytest.raises(DomainError):
         lmo_wheel_data(ZPoly(0, (1, 1)), 0, 8)
+    for coeffs in ((1,) + (0,) * 9 + (1,), (1,) + (0,) * 8 + (1,)):  # z^20, z^18
+        with pytest.raises(DomainError, match="z-degree .* truncation order 16"):
+            lmo_wheel_data(ZPoly(0, coeffs), 1, 16)
+    with pytest.raises(DomainError):
+        lmo_wheel_data(ZPoly(0, (1, 1)), 1, 1)  # z-degree 2 above odd order 1
+    lmo_wheel_data(ZPoly(0, (1,) + (0,) * 7 + (1,)), 1, 16)  # z^16 at order 16
 
 
 def test_round_trip_small():
     p = ZPoly(0, (1, 0, Fraction(7),))
     data = lmo_wheel_data(p, 5, 16)
     assert nabla_from_lmo_wheel_data(data, p.z_degree) == p
+    # order 0 and odd orders reach the ends of the closed-form series
+    rng = random.Random(3)
+    for order in (0, 1, 7, 16, 33):
+        for kmax in sorted({0, order // 4, order // 2}):
+            tail = [Fraction(rng.choice((-5, -2, 1, 3)), rng.randint(1, 4)) for _ in range(kmax)]
+            p = ZPoly(0, [1] + tail)
+            assert p.z_degree == 2 * kmax <= order
+            data = lmo_wheel_data(p, rng.randint(1, 4), order)
+            assert data.nu_wheels == nu_wheels(order)
+            assert nabla_from_lmo_wheel_data(data, p.z_degree) == p
 
 
 def test_inverse_rejects_non_polynomial_data():
-    data = LmoWheelData(WheelSeries({2: 1}), nu_wheels(16), 1, 16)
+    data = LmoWheelData(WheelSeries({2: 1}), 1, 16)
     with pytest.raises(DomainError):
         nabla_from_lmo_wheel_data(data, 2)
 

@@ -129,6 +129,8 @@ def test_seifert_file_rejections(tmp_path):
         json.dumps({"matrix": [[True]]}),
         json.dumps({"matrix": [["1/0"]]}),
         json.dumps({"matrix": [["x"]]}),
+        json.dumps({"matrix": [["1e400"]]}),  # Fraction would build 10**400
+        json.dumps({"matrix": [["2E3"]]}),
         json.dumps({"matrix": [[1]], "components": 0}),
         json.dumps({"matrix": [[1]], "components": "2"}),
         json.dumps({"matrix": [[1]], "name": 7}),
@@ -164,6 +166,7 @@ def test_linking_file_rejections(tmp_path):
         json.dumps({"labels": "a", "surgery": [], "matrix": [[0]]}),
         json.dumps({"labels": ["a"], "surgery": [1], "matrix": [[0]]}),
         json.dumps({"labels": ["a"], "surgery": [], "matrix": [[0.25]]}),
+        json.dumps({"labels": ["a"], "surgery": [], "matrix": [["1e2"]]}),
     ]
     for text in cases:
         path.write_text(text)
@@ -197,9 +200,21 @@ def test_lmo_file_rejections(tmp_path):
         lambda d: d.update(knot_wheels={"3": "1"}),
         lambda d: d.update(knot_wheels={"2": 0.5}),
         lambda d: d.update(nu_wheels="x"),
+        lambda d: d.update(nu_wheels={"2": "1"}),
     ):
         broken = json.loads(json.dumps(good))
         mutate(broken)
         path.write_text(json.dumps(broken))
         with pytest.raises(ParseError):
             read_lmo_file(str(path))
+
+
+def test_lmo_file_wrong_nu_is_reported_before_knot_indices(tmp_path):
+    path = tmp_path / "bad.json"
+    good = json.loads(lmo_data_to_json(lmo_wheel_data(ZPoly(0, (1,)), 1, 4)))
+    path.write_text(json.dumps(dict(good, knot_wheels={"6": "1"}, nu_wheels={"2": "1"})))
+    with pytest.raises(ParseError) as exc_info:
+        read_lmo_file(str(path))
+    assert str(exc_info.value) == (
+        f"{path}: nu_wheels disagree with the unknot normalization at this order"
+    )
