@@ -16,7 +16,7 @@ from .alexander import NablaResult, nabla_from_seifert, normalize_delta
 from .errors import DomainError, ParseError
 from .fixtures import load_fixtures
 from .gaussian import gaussian_pair, strut_part_of_aarhus
-from .hseries import DEFAULT_ORDER
+from .hseries import DEFAULT_ORDER, MAX_ORDER
 from .matrices import Matrix, is_integral
 from .mmr import (
     aarhus_wheels,
@@ -50,6 +50,8 @@ def _resolve_order(value: Optional[int]) -> int:
             raise ParseError(f"{ORDER_ENV}={env!r} is not an integer") from None
     if value < 0:
         raise ParseError(f"truncation order must be non-negative, got {value}")
+    if value > MAX_ORDER:
+        raise ParseError(f"truncation order must be at most {MAX_ORDER}, got {value}")
     return value
 
 

@@ -14,12 +14,22 @@ When truncating the left pairing factor, a mixed strut (one X'' leg, one X'
 leg) weighs 1/2: gluing consumes mixed struts in pairs, each surviving output
 strut eating two of them, so this weight makes truncated pairings agree
 exactly with the truncated closed form.
+
+Truncated exponentials are built one monomial at a time: each monomial is a
+non-decreasing sequence of struts whose weights fit the bound, reached once,
+with its coefficient prod c^k/k! extended by one factor per strut. Gluing
+never repeats work on interchangeable legs: the partner labels of each color
+are laid on that color's ∂ legs in every distinct order once, and the
+repeats are counted by multiplicity factorials instead of being enumerated
+as permutations. A left monomial meets only the right monomials with the
+same leg count in every color.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
+from math import factorial, floor, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import matrices
@@ -31,6 +41,8 @@ from .surgery import FramedLinkMatrix, _surgery_block_inverse, surgery_transform
 Scalar = Union[int, Fraction]
 Strut = tuple[str, str]
 Term = tuple[Strut, ...]
+# right monomials by leg count per glue color: (strut end positions, coefficient)
+_RightIndex = dict[tuple[int, ...], list[tuple[list[tuple[int, int]], Fraction]]]
 
 DUAL_MARK = "∂"
 
@@ -62,6 +74,13 @@ class StrutPolynomial:
                     key = _term(term)
                     out[key] = out.get(key, Fraction(0)) + f
         self._terms = {k: v for k, v in out.items() if v != 0}
+
+    @classmethod
+    def _from_normalized(cls, terms: Mapping[Term, Fraction]) -> "StrutPolynomial":
+        """Wrap terms whose keys are already sorted tuples of sorted struts."""
+        out = cls()
+        out._terms = {k: v for k, v in terms.items() if v != 0}
+        return out
 
     @classmethod
     def zero(cls) -> "StrutPolynomial":
@@ -203,25 +222,36 @@ def _exp_linear(
 
     entries lists (strut, coefficient, weight); a monomial taking k_i copies
     of strut i weighs sum k_i * w_i and has coefficient prod c_i^k_i / k_i!.
+    Each monomial is visited once, as a non-decreasing sequence of indices
+    into the entries sorted by strut, so its struts come out sorted; its
+    coefficient grows by c/k when the k-th copy of a strut is appended.
+    Weights and bound are scaled by the lcm of the weight denominators, so
+    the remaining budget is an integer.
     """
+    scale = lcm(*(Fraction(w).denominator for _, _, w in entries))
+    budget = floor(Fraction(bound) * scale)
+    if budget < 0:
+        return StrutPolynomial.zero()
+    ordered = sorted(entries, key=lambda e: e[0])
+    struts = [s for s, _, _ in ordered]
+    costs = [int(Fraction(w) * scale) for _, _, w in ordered]
+    # steps[j][k - 1] = c_j / k: the factor added by the k-th copy of strut j
+    steps = [
+        [Fraction(c) / k for k in range(1, budget // cost + 1)]
+        for (_, c, _), cost in zip(ordered, costs)
+    ]
     acc: dict[Term, Fraction] = {}
-
-    def rec(idx: int, struts: list[Strut], coeff: Fraction, budget: Fraction) -> None:
-        if idx == len(entries):
-            key = tuple(sorted(struts))
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-            return
-        s, c, w = entries[idx]
-        k = 0
-        f = coeff
-        while k * w <= budget:
-            if k > 0:
-                f = f * c / k
-            rec(idx + 1, struts + [s] * k, f, budget - k * w)
-            k += 1
-
-    rec(0, [], Fraction(1), bound)
-    return StrutPolynomial(acc)
+    # (monomial, coefficient, budget left, index of its last strut, copies of it)
+    pending = [((), Fraction(1), budget, 0, 0)]
+    while pending:
+        term, coeff, left, last, copies = pending.pop()
+        acc[term] = acc.get(term, 0) + coeff
+        for j in range(last, len(ordered)):
+            if costs[j] <= left:
+                k = copies + 1 if j == last else 1
+                factor = steps[j][k - 1]
+                pending.append((term + (struts[j],), coeff * factor, left - costs[j], j, k))
+    return StrutPolynomial._from_normalized(acc)
 
 
 def tangle_strut_part(v: SeifertMatrix, labels: Sequence[str] | None = None) -> StrutQuadratic:
@@ -280,6 +310,28 @@ def right_pairing_factor(m: FramedLinkMatrix, max_degree: int) -> StrutPolynomia
     return _exp_linear(entries, Fraction(max_degree))
 
 
+def _distinct_orders(labels: Sequence[str]) -> list[tuple[str, ...]]:
+    """Every distinct ordering of a multiset of labels, each listed once."""
+    counts: dict[str, int] = {}
+    for x in labels:
+        counts[x] = counts.get(x, 0) + 1
+    values = sorted(counts)
+    out: list[tuple[str, ...]] = []
+
+    def extend(prefix: tuple[str, ...]) -> None:
+        if len(prefix) == len(labels):
+            out.append(prefix)
+            return
+        for x in values:
+            if counts[x]:
+                counts[x] -= 1
+                extend(prefix + (x,))
+                counts[x] += 1
+
+    extend(())
+    return out
+
+
 def wick_pair(
     left: StrutPolynomial, right: StrutPolynomial, glue_labels: Sequence[str]
 ) -> StrutPolynomial:
@@ -289,10 +341,18 @@ def wick_pair(
     Struts of ``left`` with both legs in the glue set would close up into
     circles and are rejected; ``right`` may contain ∂-labeled struts only.
     The result is bilinear in both arguments.
+
+    Legs of one color with the same partner label are interchangeable, so
+    each color's partner labels are laid on its ∂ legs in every distinct
+    order once, weighted by the product of the label multiplicities'
+    factorials. Right monomials are grouped by their leg counts per color;
+    the grouping is built after the first left monomial has been checked, so
+    a zero left factor never inspects the right one.
     """
     glue = tuple(dict.fromkeys(str(x) for x in glue_labels))
     gset = set(glue)
     dual_of = {dual_label(x): x for x in glue}
+    by_counts: _RightIndex | None = None
 
     acc: dict[Term, Fraction] = {}
     for lterm, lc in left.items():
@@ -313,32 +373,55 @@ def wick_pair(
                 legs[b].append(a)
             else:
                 pure.append((a, b))
-        for rterm, rc in right.items():
-            slots: dict[str, list[tuple[int, int]]] = {x: [] for x in glue}
-            for idx, (a, b) in enumerate(rterm):
-                if a not in dual_of or b not in dual_of:
-                    raise DomainError(
-                        f"right factor strut ({a},{b}) is not a ∂-labeled strut "
-                        "over the glue labels"
-                    )
-                slots[dual_of[a]].append((idx, 0))
-                slots[dual_of[b]].append((idx, 1))
-            if any(len(legs[x]) != len(slots[x]) for x in glue):
-                continue
-            colors = [x for x in glue if legs[x]]
-            weight = lc * rc
-            for perms in product(*(permutations(range(len(legs[x]))) for x in colors)):
-                partner: dict[tuple[int, int], str] = {}
-                for x, perm in zip(colors, perms):
-                    for leg_idx, slot_idx in enumerate(perm):
-                        partner[slots[x][slot_idx]] = legs[x][leg_idx]
-                glued = [
-                    _strut(partner[(idx, 0)], partner[(idx, 1)])
-                    for idx in range(len(rterm))
-                ]
+        if by_counts is None:
+            by_counts = _index_right_terms(right, glue, dual_of)
+        partners = by_counts.get(tuple(len(legs[x]) for x in glue))
+        if not partners:
+            continue
+        # one flat tuple per gluing: the partner labels of each color in turn
+        orders = [_distinct_orders(legs[x]) for x in glue if legs[x]]
+        gluings = [sum(choice, ()) for choice in product(*orders)]
+        repeats = 1
+        for x in glue:
+            for y in set(legs[x]):
+                repeats *= factorial(legs[x].count(y))
+        lc_repeats = lc * repeats
+        for ends, rc in partners:
+            counts: dict[Term, int] = {}
+            for labels in gluings:
+                glued = [_strut(labels[i], labels[j]) for i, j in ends]
                 key = tuple(sorted(pure + glued))
-                acc[key] = acc.get(key, Fraction(0)) + weight
-    return StrutPolynomial(acc)
+                counts[key] = counts.get(key, 0) + 1
+            weight = lc_repeats * rc
+            for key, n in counts.items():
+                acc[key] = acc.get(key, 0) + weight * n
+    return StrutPolynomial._from_normalized(acc)
+
+
+def _index_right_terms(
+    right: StrutPolynomial, glue: tuple[str, ...], dual_of: Mapping[str, str]
+) -> _RightIndex:
+    """Group the terms of ``right`` by their ∂-leg count per glue color.
+
+    Each term becomes (ends, coefficient): ends lists, per strut, the two
+    positions its legs take when the term's legs are ordered color by color,
+    which is the order in which a gluing lists its partner labels.
+    """
+    out: _RightIndex = {}
+    for rterm, rc in right.items():
+        slots: dict[str, list[tuple[int, int]]] = {x: [] for x in glue}
+        for idx, (a, b) in enumerate(rterm):
+            if a not in dual_of or b not in dual_of:
+                raise DomainError(
+                    f"right factor strut ({a},{b}) is not a ∂-labeled strut "
+                    "over the glue labels"
+                )
+            slots[dual_of[a]].append((idx, 0))
+            slots[dual_of[b]].append((idx, 1))
+        position = {slot: p for p, slot in enumerate(s for x in glue for s in slots[x])}
+        ends = [(position[(idx, 0)], position[(idx, 1)]) for idx in range(len(rterm))]
+        out.setdefault(tuple(len(slots[x]) for x in glue), []).append((ends, rc))
+    return out
 
 
 def gaussian_pair(m: FramedLinkMatrix) -> StrutQuadratic:

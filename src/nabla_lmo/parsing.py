@@ -3,8 +3,9 @@
 The expression grammar accepts sums of signed terms ``[coeff][*]var[^exp]``
 where coeff is a rational p or p/q, var is one of t, z, h, and exponents are
 integers (``t^-1``, ``z^4``), parenthesized integers, or half-integers
-``t^(k/2)``. Whitespace is ignored everywhere. h-series text may end in the
-``+ O(h^N)`` marker produced by the renderer.
+``t^(k/2)``; z exponents are at most ``MAX_ORDER``. Whitespace is ignored
+everywhere. h-series text may end in the ``+ O(h^N)`` marker produced by the
+renderer.
 
 Matrix files are JSON with rational entries written as strings ("-1",
 "1/2") or plain integers; floating point numbers and exponent notation
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError, ParseError
-from .hseries import HSeries
+from .hseries import MAX_ORDER, HSeries
 from .laurent import HalfLaurent, ZPoly
 from .mmr import LmoWheelData, nu_wheels
 from .seifert import SeifertMatrix
@@ -138,6 +139,11 @@ def _to_z_poly(terms) -> ZPoly:
     powers = {e: c for e, c in powers.items() if c != 0}
     if not powers:
         return ZPoly(0, ())
+    if max(powers) > MAX_ORDER:
+        raise ParseError(
+            f"z exponent {max(powers)} exceeds the limit {MAX_ORDER} "
+            "(the largest truncation order)"
+        )
     s = min(powers)
     if any((e - s) % 2 != 0 for e in powers):
         raise ParseError("z exponents must share one parity")
@@ -294,6 +300,8 @@ def read_lmo_file(path: str) -> LmoWheelData:
     h1 = data["h1_order"]
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise ParseError(f"{path}: \"order\" must be a non-negative integer")
+    if order > MAX_ORDER:
+        raise ParseError(f"{path}: \"order\" must be at most {MAX_ORDER}, got {order}")
     if not isinstance(h1, int) or isinstance(h1, bool) or h1 < 1:
         raise ParseError(f"{path}: \"h1_order\" must be a positive integer")
     knot = _wheels_from_json(data["knot_wheels"], f"{path} knot_wheels")

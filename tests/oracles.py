@@ -3,11 +3,17 @@
 Everything here is deliberately written by a different route than the
 package code: cofactor expansion instead of fraction-free elimination,
 explicit row elimination instead of the Schur formula, direct series
-manipulation on plain coefficient lists instead of HSeries methods.
+manipulation on plain coefficient lists instead of HSeries methods, every
+permutation of legs instead of distinct gluings, and every exponent vector
+instead of one walk per strut monomial.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import permutations, product
+from math import factorial, floor
+
+from nabla_lmo.errors import DomainError
+from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
 
 
 def det_cofactor(rows):
@@ -161,3 +167,78 @@ def random_symmetric(rng, n, denominators=(1,)):
             v = Fraction(rng.randint(-3, 3), rng.choice(denominators))
             a[i][j] = a[j][i] = v
     return tuple(tuple(row) for row in a)
+
+
+def wick_pair_by_permutations(left, right, glue_labels):
+    """``gaussian.wick_pair`` by brute force: for each pair of monomials,
+    every bijection between the x-legs of the left one and the ∂x-legs of the
+    right one, color by color, is one gluing. Same checks and error texts."""
+    glue = tuple(dict.fromkeys(str(x) for x in glue_labels))
+    gset = set(glue)
+    dual_of = {dual_label(x): x for x in glue}
+
+    acc = {}
+    for lterm, lc in left.items():
+        pure = []
+        legs = {x: [] for x in glue}
+        for a, b in lterm:
+            if a.startswith(DUAL_MARK) or b.startswith(DUAL_MARK):
+                raise DomainError("left factor must not contain ∂-labeled legs")
+            a_glued, b_glued = a in gset, b in gset
+            if a_glued and b_glued:
+                raise DomainError(
+                    f"left factor contains the strut ({a},{b}) with both legs "
+                    "among the glue labels; gluing it would close a circle"
+                )
+            if a_glued:
+                legs[a].append(b)
+            elif b_glued:
+                legs[b].append(a)
+            else:
+                pure.append((a, b))
+        for rterm, rc in right.items():
+            slots = {x: [] for x in glue}
+            for idx, (a, b) in enumerate(rterm):
+                if a not in dual_of or b not in dual_of:
+                    raise DomainError(
+                        f"right factor strut ({a},{b}) is not a ∂-labeled strut "
+                        "over the glue labels"
+                    )
+                slots[dual_of[a]].append((idx, 0))
+                slots[dual_of[b]].append((idx, 1))
+            if any(len(legs[x]) != len(slots[x]) for x in glue):
+                continue
+            colors = [x for x in glue if legs[x]]
+            for perms in product(*(permutations(range(len(legs[x]))) for x in colors)):
+                partner = {}
+                for x, perm in zip(colors, perms):
+                    for leg_idx, slot_idx in enumerate(perm):
+                        partner[slots[x][slot_idx]] = legs[x][leg_idx]
+                glued = [
+                    tuple(sorted((partner[(idx, 0)], partner[(idx, 1)])))
+                    for idx in range(len(rterm))
+                ]
+                key = tuple(sorted(pure + glued))
+                acc[key] = acc.get(key, Fraction(0)) + lc * rc
+    return StrutPolynomial(acc)
+
+
+def exp_linear_by_exponents(entries, bound):
+    """exp(sum c_i * s_i) truncated at total weight <= bound, for entries
+    (strut, c_i, weight w_i): every exponent vector k with k_i * w_i <= bound
+    is tried, and those with sum k_i * w_i <= bound contribute the monomial
+    prod s_i^k_i with coefficient prod c_i^k_i / k_i!."""
+    bound = Fraction(bound)
+    ranges = [range(max(0, floor(bound / Fraction(w)) + 1)) for _, _, w in entries]
+    acc = {}
+    for ks in product(*ranges):
+        if sum(k * Fraction(w) for k, (_, _, w) in zip(ks, entries)) > bound:
+            continue
+        coeff = Fraction(1)
+        struts = []
+        for k, (s, c, _) in zip(ks, entries):
+            coeff *= Fraction(c) ** k / factorial(k)
+            struts += [s] * k
+        key = tuple(struts)
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+    return StrutPolynomial(acc)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nabla_lmo.cli import ORDER_ENV, main
+from nabla_lmo.hseries import MAX_ORDER
 
 TREFOIL_JSON = '{"matrix": [["-1", "1"], ["0", "-1"]], "name": "trefoil"}'
 HOPF_SURGERY_JSON = (
@@ -262,3 +263,40 @@ def test_output_is_deterministic(capsys, trefoil_file):
     first = run(capsys, "mmr", "--seifert", trefoil_file, "--order", "12")
     second = run(capsys, "mmr", "--seifert", trefoil_file, "--order", "12")
     assert first == second
+
+
+def test_order_and_exponent_limits(capsys, monkeypatch, tmp_path, trefoil_file):
+    def no_series(*args):
+        raise AssertionError("series work started")
+
+    for name in ("mmr.c_series", "mmr.nu_wheels", "parsing.nu_wheels"):
+        monkeypatch.setattr(f"nabla_lmo.{name}", no_series)
+    too_big = str(MAX_ORDER + 1)
+    message = f"error: truncation order must be at most {MAX_ORDER}, got {too_big}\n"
+    for argv in (
+        ("mmr", "--seifert", trefoil_file),
+        ("wheels", "--from-seifert", trefoil_file),
+        ("wheels", "--from-series", "1 + h^2"),
+        ("lmo", "--nabla", "1 + z^2", "--tor", "1"),
+        ("roundtrip", "--nabla", "1 + z^2", "--tor", "1"),
+    ):
+        assert run(capsys, *argv, "--order", too_big) == (2, "", message)
+        monkeypatch.setenv(ORDER_ENV, too_big)
+        assert run(capsys, *argv) == (2, "", message)
+        monkeypatch.delenv(ORDER_ENV)
+
+    for command in ("lmo", "roundtrip"):
+        rc, out, err = run(capsys, command, "--nabla", "1 + z^4000000", "--tor", "1")
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: z exponent 4000000 exceeds the limit {MAX_ORDER} "
+            "(the largest truncation order)\n"
+        )
+
+    wheel_file = tmp_path / "big.json"
+    wheel_file.write_text(json.dumps(
+        {"order": 4096, "h1_order": 1, "knot_wheels": {}, "nu_wheels": {}}
+    ))
+    rc, out, err = run(capsys, "lmo", "--invert", str(wheel_file))
+    assert (rc, out) == (2, "")
+    assert err == f'error: {wheel_file}: "order" must be at most {MAX_ORDER}, got 4096\n'

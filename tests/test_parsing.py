@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nabla_lmo.errors import ParseError
-from nabla_lmo.hseries import HSeries
+from nabla_lmo.hseries import MAX_ORDER, HSeries
 from nabla_lmo.laurent import HalfLaurent, ZPoly
 from nabla_lmo.mmr import lmo_wheel_data
 from nabla_lmo.parsing import (
@@ -218,3 +218,29 @@ def test_lmo_file_wrong_nu_is_reported_before_knot_indices(tmp_path):
     assert str(exc_info.value) == (
         f"{path}: nu_wheels disagree with the unknot normalization at this order"
     )
+
+
+def test_z_exponent_limit():
+    assert parse_z_poly(f"1 + z^{MAX_ORDER}").z_degree == MAX_ORDER
+    assert parse_z_poly("1 + z^4000000 - z^4000000") == ZPoly(0, (1,))
+    for text in (f"1 + z^{MAX_ORDER + 2}", "1 + z^4000000", "z^1000000000001 + z^2"):
+        with pytest.raises(ParseError) as exc_info:
+            parse_z_poly(text)
+        assert f"exceeds the limit {MAX_ORDER}" in str(exc_info.value)
+
+
+def test_lmo_file_order_limit_is_checked_before_series_work(tmp_path, monkeypatch):
+    def no_series(order):
+        raise AssertionError(f"nu_wheels({order}) was built")
+
+    monkeypatch.setattr("nabla_lmo.parsing.nu_wheels", no_series)
+    path = tmp_path / "big.json"
+    for order in (MAX_ORDER + 1, 4096):
+        path.write_text(json.dumps(
+            {"order": order, "h1_order": 1, "knot_wheels": {}, "nu_wheels": {}}
+        ))
+        with pytest.raises(ParseError) as exc_info:
+            read_lmo_file(str(path))
+        assert str(exc_info.value) == (
+            f"{path}: \"order\" must be at most {MAX_ORDER}, got {order}"
+        )
