@@ -39,7 +39,6 @@ from .seifert import (
     RealizabilityReport,
     SeifertMatrix,
     SkewNormalForm,
-    decompose,
     realizability_report,
     skew_normal_form,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "ZPoly",
     "aarhus_wheels",
     "c_series",
-    "decompose",
     "gaussian_pair",
     "h1_order",
     "left_pairing_factor",

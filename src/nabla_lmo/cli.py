@@ -141,7 +141,7 @@ def _print_wheel_data(data, as_json: bool) -> None:
 def _cmd_lmo(args) -> int:
     if args.invert is not None:
         data = read_lmo_file(args.invert)
-        max_z = args.max_z_degree if args.max_z_degree is not None else data.order // 2
+        max_z = args.max_z_degree if args.max_z_degree is not None else data.order
         print(nabla_from_lmo_wheel_data(data, max_z))
         return 0
     if args.tor is None:
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--nabla", metavar="EXPR", help="polynomial in z")
     source.add_argument("--invert", metavar="FILE", help="wheel-data JSON file")
     p.add_argument("--tor", type=int, metavar="R", help="order of torsion homology")
-    p.add_argument("--max-z-degree", type=int, default=None, metavar="K")
+    p.add_argument("--max-z-degree", type=int, default=None, metavar="K",
+                   help="largest z-degree --invert recognizes (default: the file's order)")
     p.add_argument("--json", action="store_true", help="print wheel data as JSON")
     _add_order_flag(p)
     p.set_defaults(func=_cmd_lmo)

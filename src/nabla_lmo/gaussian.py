@@ -32,7 +32,7 @@ from itertools import product
 from math import factorial, floor, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from . import matrices
+from . import _terms, matrices
 from .errors import DomainError
 from .matrices import Matrix
 from .seifert import SeifertMatrix
@@ -66,20 +66,13 @@ class StrutPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Term, Scalar] | None = None):
-        out: dict[Term, Fraction] = {}
-        if terms:
-            for term, c in terms.items():
-                f = Fraction(c)
-                if f != 0:
-                    key = _term(term)
-                    out[key] = out.get(key, Fraction(0)) + f
-        self._terms = {k: v for k, v in out.items() if v != 0}
+        self._terms = _terms.normalize(terms, _term) if terms else {}
 
     @classmethod
-    def _from_normalized(cls, terms: Mapping[Term, Fraction]) -> "StrutPolynomial":
-        """Wrap terms whose keys are already sorted tuples of sorted struts."""
+    def _from_normalized(cls, terms: dict[Term, Fraction]) -> "StrutPolynomial":
+        """Wrap a term dict that is already normalized."""
         out = cls()
-        out._terms = {k: v for k, v in terms.items() if v != 0}
+        out._terms = terms
         return out
 
     @classmethod
@@ -109,7 +102,7 @@ class StrutPolynomial:
         return max((len(t) for t in self._terms), default=-1)
 
     def truncate(self, max_degree: int) -> "StrutPolynomial":
-        return StrutPolynomial(
+        return StrutPolynomial._from_normalized(
             {t: c for t, c in self._terms.items() if len(t) <= max_degree}
         )
 
@@ -123,10 +116,7 @@ class StrutPolynomial:
     def __add__(self, other) -> "StrutPolynomial":
         if not isinstance(other, StrutPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return StrutPolynomial(out)
+        return StrutPolynomial._from_normalized(_terms.add(self._terms, other._terms))
 
     def __sub__(self, other) -> "StrutPolynomial":
         if not isinstance(other, StrutPolynomial):
@@ -135,35 +125,19 @@ class StrutPolynomial:
 
     def __mul__(self, other) -> "StrutPolynomial":
         if isinstance(other, (int, Fraction)):
-            return StrutPolynomial({t: c * other for t, c in self._terms.items()})
+            return StrutPolynomial._from_normalized(_terms.scale(self._terms, other))
         if isinstance(other, StrutPolynomial):
-            out: dict[Term, Fraction] = {}
-            for t1, c1 in self._terms.items():
-                for t2, c2 in other._terms.items():
-                    key = tuple(sorted(t1 + t2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return StrutPolynomial(out)
+            return StrutPolynomial._from_normalized(
+                _terms.mul(self._terms, other._terms, _terms.sorted_union)
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for term, c in self.items():
-            mono = "*".join(f"s({a},{b})" for a, b in term) or None
-            if mono is None:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" {'-' if c < 0 else '+'} {body}")
-        return "".join(parts)
+        return _terms.signed_sum(
+            (c, "*".join(f"s({a},{b})" for a, b in term) or None) for term, c in self.items()
+        )
 
     def __repr__(self) -> str:
         return f"StrutPolynomial({self._terms!r})"
@@ -203,16 +177,23 @@ class StrutQuadratic:
 
     def expand(self, max_degree: int) -> StrutPolynomial:
         """The exponential expanded as a strut polynomial of degree <= max_degree."""
-        entries = []
-        for i, a in enumerate(self._labels):
-            for j in range(i, len(self._labels)):
-                c = self._q[i][j] if i != j else self._q[i][i] / 2
-                if c != 0:
-                    entries.append((_strut(a, self._labels[j]), c, Fraction(1)))
-        return _exp_linear(entries, Fraction(max_degree))
+        return _exp_linear(_form_entries(self._labels, self._q), Fraction(max_degree))
 
     def __repr__(self) -> str:
         return f"StrutQuadratic(labels={self._labels!r}, q={self._q!r})"
+
+
+def _form_entries(labels: Sequence[str], q: Matrix) -> list[tuple[Strut, Fraction, Fraction]]:
+    """The exponent (1/2) * sum_ij q_ij s(i,j) of a symmetric form as
+    _exp_linear entries: one per nonzero entry of the upper triangle, the
+    diagonal halved, each of weight 1."""
+    entries = []
+    for i, a in enumerate(labels):
+        for j in range(i, len(labels)):
+            c = q[i][j] if i != j else q[i][i] / 2
+            if c != 0:
+                entries.append((_strut(a, labels[j]), c, Fraction(1)))
+    return entries
 
 
 def _exp_linear(
@@ -279,12 +260,7 @@ def left_pairing_factor(m: FramedLinkMatrix, max_degree: Scalar) -> StrutPolynom
     e = m.entries
     k = len(m.surgery_labels)
     res = m.residual_labels
-    entries = []
-    for i, a in enumerate(res):
-        for j in range(i, len(res)):
-            c = e[k + i][k + j] if i != j else e[k + i][k + i] / 2
-            if c != 0:
-                entries.append((_strut(a, res[j]), c, Fraction(1)))
+    entries = _form_entries(res, m.residual_block)
     for i, a in enumerate(res):
         for x, lab in enumerate(m.surgery_labels):
             c = e[k + i][x]
@@ -298,15 +274,8 @@ def right_pairing_factor(m: FramedLinkMatrix, max_degree: int) -> StrutPolynomia
     surgery block; this is the Gaussian weight glued against X' legs."""
     if not m.surgery_labels:
         return StrutPolynomial.one()
-    inv = _surgery_block_inverse(m)
-    entries = []
-    for i, a in enumerate(m.surgery_labels):
-        for j in range(i, len(m.surgery_labels)):
-            c = -inv[i][j] if i != j else -inv[i][i] / 2
-            if c != 0:
-                entries.append(
-                    (_strut(dual_label(a), dual_label(m.surgery_labels[j])), c, Fraction(1))
-                )
+    neg_inv = matrices.scale(_surgery_block_inverse(m), Fraction(-1))
+    entries = _form_entries([dual_label(x) for x in m.surgery_labels], neg_inv)
     return _exp_linear(entries, Fraction(max_degree))
 
 
@@ -395,7 +364,7 @@ def wick_pair(
             weight = lc_repeats * rc
             for key, n in counts.items():
                 acc[key] = acc.get(key, 0) + weight * n
-    return StrutPolynomial._from_normalized(acc)
+    return StrutPolynomial._from_normalized(_terms.drop_zeros(acc))
 
 
 def _index_right_terms(

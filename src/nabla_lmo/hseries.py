@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence, Union
 
+from . import _terms
 from .errors import DomainError
 from .laurent import HalfLaurent, ZPoly
 
@@ -189,23 +190,12 @@ class HSeries:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for m, c in enumerate(self._c):
-            if c == 0:
-                continue
-            mono = None if m == 0 else ("h" if m == 1 else f"h^{m}")
-            if mono is None:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" {'-' if c < 0 else '+'} {body}")
-        parts.append(f" + O(h^{self._order + 1})")
-        return "".join(parts)
+        body = _terms.signed_sum(
+            (c, None if m == 0 else ("h" if m == 1 else f"h^{m}"))
+            for m, c in enumerate(self._c)
+            if c != 0
+        )
+        return f"{body} + O(h^{self._order + 1})"
 
     def __repr__(self) -> str:
         return f"HSeries({list(self._c)!r}, order={self._order})"

@@ -10,10 +10,12 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
+from . import _terms
 from .errors import DomainError
 
 Scalar = Union[int, Fraction]
@@ -25,13 +27,13 @@ class HalfLaurent:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Fraction] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                f = Fraction(v)
-                if f != 0:
-                    c[int(k)] = f
-        self._c = c
+        self._c = _terms.normalize(coeffs, int) if coeffs else {}
+
+    @classmethod
+    def _from_normalized(cls, coeffs: dict[int, Fraction]) -> "HalfLaurent":
+        out = cls()
+        out._c = coeffs
+        return out
 
     @classmethod
     def zero(cls) -> "HalfLaurent":
@@ -73,16 +75,13 @@ class HalfLaurent:
     __hash__ = None
 
     def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({k: -v for k, v in self._c.items()})
+        return HalfLaurent._from_normalized(_terms.scale(self._c, -1))
 
     def __add__(self, other) -> "HalfLaurent":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._c)
-        for k, v in other._c.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HalfLaurent(out)
+        return HalfLaurent._from_normalized(_terms.add(self._c, other._c))
 
     __radd__ = __add__
 
@@ -100,15 +99,10 @@ class HalfLaurent:
 
     def __mul__(self, other) -> "HalfLaurent":
         if isinstance(other, (int, Fraction)):
-            return HalfLaurent({k: v * other for k, v in self._c.items()})
+            return HalfLaurent._from_normalized(_terms.scale(self._c, other))
         if not isinstance(other, HalfLaurent):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return HalfLaurent(out)
+        return HalfLaurent._from_normalized(_terms.mul(self._c, other._c, operator.add))
 
     __rmul__ = __mul__
 
@@ -122,11 +116,13 @@ class HalfLaurent:
 
     def shift(self, half_exponent: int) -> "HalfLaurent":
         """Multiply by t^(half_exponent/2)."""
-        return HalfLaurent({k + half_exponent: v for k, v in self._c.items()})
+        return HalfLaurent._from_normalized({k + half_exponent: v for k, v in self._c.items()})
 
     def involution(self) -> "HalfLaurent":
         """The substitution t^(1/2) -> -t^(-1/2), i.e. t^(k/2) -> (-1)^k t^(-k/2)."""
-        return HalfLaurent({-k: (v if k % 2 == 0 else -v) for k, v in self._c.items()})
+        return HalfLaurent._from_normalized(
+            {-k: (v if k % 2 == 0 else -v) for k, v in self._c.items()}
+        )
 
     def evaluate(self, value: Scalar) -> Fraction:
         """Evaluate at t^(1/2) = value."""
@@ -166,16 +162,7 @@ class HalfLaurent:
         return HalfLaurent({base + i: c for i, c in enumerate(quot)})
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in self.items():
-            body = _term_text(abs(c), _t_monomial(k))
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" {'-' if c < 0 else '+'} {body}")
-        return "".join(parts)
+        return _terms.signed_sum((c, _t_monomial(k)) for k, c in self.items())
 
     def __repr__(self) -> str:
         return f"HalfLaurent({dict(self.items())!r})"
@@ -206,16 +193,15 @@ def _t_monomial(half_exponent: int) -> str | None:
     return f"t^({half_exponent}/2)"
 
 
-def _term_text(coeff_abs: Fraction, monomial: str | None) -> str:
-    if monomial is None:
-        return str(coeff_abs)
-    if coeff_abs == 1:
-        return monomial
-    return f"{coeff_abs}*{monomial}"
-
-
-#: z = t^(1/2) - t^(-1/2)
-Z = HalfLaurent({1: 1, -1: -1})
+def _z_power(n: int) -> dict[int, int]:
+    """z^n = (t^(1/2) - t^(-1/2))^n by the binomial theorem: coefficient
+    (-1)^j * C(n, j) at half-exponent n - 2j."""
+    out = {}
+    c = 1
+    for j in range(n + 1):
+        out[n - 2 * j] = -c if j % 2 else c
+        c = c * (n - j) // (j + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,14 +244,12 @@ class ZPoly:
 
     def expand(self) -> HalfLaurent:
         """Expand back into a Laurent polynomial via z = t^(1/2) - t^(-1/2)."""
-        out = HalfLaurent.zero()
-        power = Z ** self.prefactor_exponent
-        z_sq = Z * Z
-        for b in self.coeffs:
+        out: dict[int, Fraction] = {}
+        for k, b in enumerate(self.coeffs):
             if b != 0:
-                out = out + power * b
-            power = power * z_sq
-        return out
+                for e, c in _z_power(self.prefactor_exponent + 2 * k).items():
+                    out[e] = out.get(e, 0) + b * c
+        return HalfLaurent(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZPoly):
@@ -277,27 +261,20 @@ class ZPoly:
     __hash__ = None
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
+        terms = []
         for k, b in enumerate(self.coeffs):
-            if b == 0:
-                continue
-            e = self.prefactor_exponent + 2 * k
-            mono = None if e == 0 else ("z" if e == 1 else f"z^{e}")
-            body = _term_text(abs(b), mono)
-            if not parts:
-                parts.append(f"-{body}" if b < 0 else body)
-            else:
-                parts.append(f" {'-' if b < 0 else '+'} {body}")
-        return "".join(parts)
+            if b != 0:
+                e = self.prefactor_exponent + 2 * k
+                terms.append((b, None if e == 0 else ("z" if e == 1 else f"z^{e}")))
+        return _terms.signed_sum(terms)
 
 
 def rewrite_in_z(p: HalfLaurent, prefactor_exponent: int) -> ZPoly:
     """Rewrite p as z^s * (polynomial in z^2), eliminating from the top.
 
     Each power z^n expands with leading coefficient 1 on t^(n/2), so the top
-    term of the remainder determines one coefficient at a time. DomainError
+    term of the remainder determines one coefficient at a time; the remainder
+    is one term dict, from which each z^n is subtracted in place. DomainError
     when p does not lie in z^s * Q[z^2].
     """
     s = int(prefactor_exponent)
@@ -308,19 +285,16 @@ def rewrite_in_z(p: HalfLaurent, prefactor_exponent: int) -> ZPoly:
     top = max(p.support)
     if top < s or (top - s) % 2 != 0:
         raise DomainError(f"polynomial does not lie in z^{s}*Q[z^2]")
-    kmax = (top - s) // 2
-    z_powers = [Z ** s]
-    z_sq = Z * Z
-    for _ in range(kmax):
-        z_powers.append(z_powers[-1] * z_sq)
-    b = [Fraction(0)] * (kmax + 1)
-    r = p
-    while not r.is_zero:
-        m = max(r.support)
+    b = [Fraction(0)] * ((top - s) // 2 + 1)
+    r = dict(p._c)
+    while r:
+        m = max(r)
         if m < s or (m - s) % 2 != 0:
             raise DomainError(f"polynomial does not lie in z^{s}*Q[z^2]")
-        k = (m - s) // 2
-        c = r.coeff(m)
-        b[k] = c
-        r = r - z_powers[k] * c
+        c = r[m]
+        b[(m - s) // 2] = c
+        for e, binom in _z_power(m).items():
+            r[e] = r.get(e, 0) - c * binom
+            if r[e] == 0:
+                del r[e]
     return ZPoly(s, b)

@@ -35,11 +35,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zero_matrix(n: int, m: int) -> Matrix:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 

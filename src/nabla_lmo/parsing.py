@@ -3,9 +3,11 @@
 The expression grammar accepts sums of signed terms ``[coeff][*]var[^exp]``
 where coeff is a rational p or p/q, var is one of t, z, h, and exponents are
 integers (``t^-1``, ``z^4``), parenthesized integers, or half-integers
-``t^(k/2)``; z exponents are at most ``MAX_ORDER``. Whitespace is ignored
-everywhere. h-series text may end in the ``+ O(h^N)`` marker produced by the
-renderer.
+``t^(k/2)``. z exponents, and the z-degree of a t-expression's Conway form
+(half the span of its t^(1/2) exponents), are at most ``MAX_ORDER``;
+integers past Python's int conversion limit and zero denominators are
+rejected. Whitespace is ignored everywhere. h-series text may end in the
+``+ O(h^N)`` marker produced by the renderer.
 
 Matrix files are JSON with rational entries written as strings ("-1",
 "1/2") or plain integers; floating point numbers and exponent notation
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -31,7 +34,7 @@ _TERM = re.compile(
     r"""
     (?P<sign>[+-])?
     (?:
-        (?P<num>\d+)(?:/(?P<den>\d+))?
+        (?P<num>\d+)(?:/(?P<den>0*[1-9]\d*))?
         (?:\*(?=[tzh]))?
     )?
     (?:
@@ -50,6 +53,16 @@ _TERM = re.compile(
 _O_TAIL = re.compile(r"\+O\(h\^(\d+)\)$")
 
 
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"syntax error at position {pos}: integer longer than {limit} digits"
+        ) from None
+
+
 def _scan_terms(text: str):
     """Yield (coeff, var, exponent_numerator, halved) per term.
 
@@ -60,7 +73,7 @@ def _scan_terms(text: str):
     tail = _O_TAIL.search(stripped)
     o_order = None
     if tail:
-        o_order = int(tail.group(1)) - 1
+        o_order = _int(tail.group(1), tail.start(1)) - 1
         stripped = stripped[: tail.start()]
     if not stripped:
         raise ParseError("empty expression")
@@ -75,24 +88,16 @@ def _scan_terms(text: str):
             raise ParseError(f"syntax error at position {pos}: expected a term")
         if not first and m.group("sign") is None:
             raise ParseError(f"syntax error at position {pos}: expected '+' or '-'")
-        coeff = Fraction(int(m.group("num")), int(m.group("den") or 1)) if m.group("num") else Fraction(1)
+        num, den = m.group("num"), m.group("den") or "1"
+        coeff = Fraction(_int(num, pos), _int(den, pos)) if num else Fraction(1)
         if m.group("sign") == "-":
             coeff = -coeff
-        var = m.group("var")
-        exp = 1
-        halved = False
-        if var is not None:
-            if m.group("iexp") is not None:
-                exp = int(m.group("iexp"))
-            elif m.group("pnum") is not None:
-                exp = int(m.group("pnum"))
-                if m.group("pden") is not None:
-                    if m.group("pden") != "2":
-                        raise ParseError(
-                            f"syntax error at position {pos}: only /2 exponents are supported"
-                        )
-                    halved = True
-        terms.append((coeff, var, exp, halved, pos))
+        pden = m.group("pden")
+        if pden not in (None, "2"):
+            raise ParseError(f"syntax error at position {pos}: only /2 exponents are supported")
+        # the exponent groups only match after a variable; a bare variable has exponent 1
+        exp = _int(m.group("iexp") or m.group("pnum") or "1", pos)
+        terms.append((coeff, m.group("var"), exp, pden is not None, pos))
         pos = m.end()
         first = False
     return terms, o_order
@@ -124,6 +129,13 @@ def _to_half_laurent(terms) -> HalfLaurent:
         else:
             raise ParseError(f"syntax error at position {pos}: expected variable t")
         coeffs[k] = coeffs.get(k, Fraction(0)) + coeff
+    support = [k for k, c in coeffs.items() if c != 0]
+    if support and max(support) - min(support) > 2 * MAX_ORDER:
+        raise ParseError(
+            f"t exponents give z-degree {Fraction(max(support) - min(support), 2)} (half the "
+            f"span of the t^(1/2) exponents), which exceeds the limit {MAX_ORDER} "
+            "(the largest truncation order)"
+        )
     return HalfLaurent(coeffs)
 
 
@@ -211,6 +223,11 @@ def _load_json(path: str):
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+        except ValueError:  # an integer literal with more digits than Python converts
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                f"{path}: invalid JSON (a number longer than {limit} digits)"
+            ) from None
 
 
 def _matrix_rows(data, path: str):

@@ -66,11 +66,6 @@ class SeifertMatrix:
         return f"SeifertMatrix({[[str(x) for x in row] for row in self._entries]!r})"
 
 
-def decompose(v: SeifertMatrix) -> tuple[Matrix, Matrix]:
-    """Split a Seifert matrix into its skew part F and symmetric part U."""
-    return v.skew_part, v.symmetric_part
-
-
 @dataclass(frozen=True)
 class SkewNormalForm:
     """Result of reducing an integer skew matrix by unimodular congruence.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
+from . import _terms
 from .errors import DomainError
 from .hseries import HSeries
 
@@ -26,19 +27,17 @@ def _check_index(index: int) -> int:
     return index
 
 
+def _wheel_term(term) -> WheelTerm:
+    return tuple(sorted(_check_index(k) for k in term))
+
+
 class WheelSeries:
     """exp(sum a_2n * w2n), stored by the exponent coefficients a_2n."""
 
     __slots__ = ("_a",)
 
     def __init__(self, coefficients: Mapping[int, Scalar] | None = None):
-        a: dict[int, Fraction] = {}
-        if coefficients:
-            for k, v in coefficients.items():
-                f = Fraction(v)
-                if f != 0:
-                    a[_check_index(k)] = f
-        self._a = a
+        self._a = _terms.normalize(coefficients, _check_index) if coefficients else {}
 
     @property
     def coefficients(self) -> dict[int, Fraction]:
@@ -53,10 +52,9 @@ class WheelSeries:
 
     def disjoint_union(self, other: "WheelSeries") -> "WheelSeries":
         """Union of diagrams multiplies exponentials: exponents add."""
-        out = dict(self._a)
-        for k, v in other._a.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return WheelSeries(out)
+        out = WheelSeries()
+        out._a = _terms.add(self._a, other._a)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WheelSeries):
@@ -66,16 +64,8 @@ class WheelSeries:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self._a:
-            return "exp( 0 )"
-        parts = []
-        for k, c in sorted(self._a.items()):
-            body = f"w{k}" if abs(c) == 1 else f"{abs(c)} w{k}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" {'-' if c < 0 else '+'} {body}")
-        return f"exp( {''.join(parts)} )"
+        body = _terms.signed_sum(((c, f"w{k}") for k, c in sorted(self._a.items())), sep=" ")
+        return f"exp( {body} )"
 
     def __repr__(self) -> str:
         return f"WheelSeries({self.coefficients!r})"
@@ -87,14 +77,13 @@ class WheelPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[WheelTerm, Scalar] | None = None):
-        out: dict[WheelTerm, Fraction] = {}
-        if terms:
-            for term, c in terms.items():
-                f = Fraction(c)
-                if f != 0:
-                    key = tuple(sorted(_check_index(k) for k in term))
-                    out[key] = out.get(key, Fraction(0)) + f
-        self._terms = {k: v for k, v in out.items() if v != 0}
+        self._terms = _terms.normalize(terms, _wheel_term) if terms else {}
+
+    @classmethod
+    def _from_normalized(cls, terms: dict[WheelTerm, Fraction]) -> "WheelPolynomial":
+        out = cls()
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "WheelPolynomial":
@@ -125,7 +114,9 @@ class WheelPolynomial:
         return max((sum(t) for t in self._terms), default=-1)
 
     def truncate(self, order: int) -> "WheelPolynomial":
-        return WheelPolynomial({t: c for t, c in self._terms.items() if sum(t) <= order})
+        return WheelPolynomial._from_normalized(
+            {t: c for t, c in self._terms.items() if sum(t) <= order}
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WheelPolynomial):
@@ -138,10 +129,7 @@ class WheelPolynomial:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return WheelPolynomial(out)
+        return WheelPolynomial._from_normalized(_terms.add(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -159,15 +147,12 @@ class WheelPolynomial:
 
     def __mul__(self, other) -> "WheelPolynomial":
         if isinstance(other, (int, Fraction)):
-            return WheelPolynomial({t: c * other for t, c in self._terms.items()})
+            return WheelPolynomial._from_normalized(_terms.scale(self._terms, other))
         if not isinstance(other, WheelPolynomial):
             return NotImplemented
-        out: dict[WheelTerm, Fraction] = {}
-        for t1, c1 in self._terms.items():
-            for t2, c2 in other._terms.items():
-                key = tuple(sorted(t1 + t2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return WheelPolynomial(out)
+        return WheelPolynomial._from_normalized(
+            _terms.mul(self._terms, other._terms, _terms.sorted_union)
+        )
 
     __rmul__ = __mul__
 

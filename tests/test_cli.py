@@ -164,6 +164,12 @@ def test_lmo_json_and_invert_round_trip(capsys, tmp_path):
     assert rc == 1
     assert err.startswith("error:")
 
+    # without --max-z-degree every z-degree up to the file's order is recognized
+    rc, out, _ = run(capsys, "lmo", "--nabla", "1 + z^10", "--tor", "3", "--json")
+    assert rc == 0 and json.loads(out)["order"] == 16
+    path.write_text(out)
+    assert run(capsys, "lmo", "--invert", str(path)) == (0, "1 + z^10\n", "")
+
     payload["nu_wheels"] = {"2": "1"}
     path.write_text(json.dumps(payload))
     rc, out, err = run(capsys, "lmo", "--invert", str(path))
@@ -245,6 +251,30 @@ def test_exit_codes(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # integers past Python's int conversion limit (4300 digits by default)
+    nines = "9" * 5000
+    long_entry = tmp_path / "long.json"
+    long_entry.write_text('{"matrix": [[%s]]}' % nines)
+    for argv in (
+        ("lmo", "--nabla", f"1 + z^{nines}", "--tor", "1"),
+        ("normalize-delta", "--delta", f"t^{nines} + 1", "--h1", "1"),
+        ("nabla", "--seifert", str(long_entry)),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "digits" in err and "Traceback" not in err
+
+    # a zero denominator in an expression
+    for argv in (
+        ("lmo", "--nabla", "1 + 1/0*z^2", "--tor", "1"),
+        ("normalize-delta", "--delta", "t + 1/0", "--h1", "1"),
+        ("wheels", "--from-series", "1 + 1/0*h^2"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: syntax error at position") and err.count("\n") == 1
+
     with pytest.raises(SystemExit) as exit_info:
         main(["no-such-command"])
     assert exit_info.value.code == 2
@@ -292,6 +322,21 @@ def test_order_and_exponent_limits(capsys, monkeypatch, tmp_path, trefoil_file):
             f"error: z exponent 4000000 exceeds the limit {MAX_ORDER} "
             "(the largest truncation order)\n"
         )
+
+    def no_rewrite(*args):
+        raise AssertionError("rewrite_in_z was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("nabla_lmo.alexander.rewrite_in_z", no_rewrite)
+        rc, out, err = run(capsys, "normalize-delta", "--delta", "t^129 + 1 + t^-129", "--h1", "3")
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: t exponents give z-degree 258 (half the span of the t^(1/2) exponents), "
+        f"which exceeds the limit {MAX_ORDER} (the largest truncation order)\n"
+    )
+    rc, out, err = run(capsys, "normalize-delta", "--delta", "t^128 + 1 + t^-128", "--h1", "3")
+    assert (rc, err) == (0, "")
+    assert out.endswith(f" + 1/3*z^{MAX_ORDER}\n1/3*t^-128 + 1/3 + 1/3*t^128\n")
 
     wheel_file = tmp_path / "big.json"
     wheel_file.write_text(json.dumps(

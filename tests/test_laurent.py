@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from nabla_lmo.errors import DomainError
-from nabla_lmo.laurent import HalfLaurent, Z, ZPoly, rewrite_in_z
+from nabla_lmo.laurent import HalfLaurent, ZPoly, rewrite_in_z
+
+Z = HalfLaurent({1: 1, -1: -1})  # z = t^(1/2) - t^(-1/2)
 
 
 def t(k, c=1):

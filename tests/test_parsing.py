@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,12 +37,17 @@ def test_grammar_flexibility():
     assert parse_z_poly("0") == ZPoly(0, ())
     assert parse_z_poly("z^2 + 1 - z^2") == ZPoly(0, (1,))
     assert parse_half_laurent("t^(4/2)") == HalfLaurent({4: 1})
+    assert parse_half_laurent("3/01*t") == HalfLaurent({2: 3})
 
 
 def test_grammar_rejections():
-    for bad in ("", "  ", "z + t", "1 ++ 2", "q^2", "z^-2", "t^(1/3)", "1.5", "z^"):
+    zero_denominators = ("1/0*z^2 + 1", "t + 1/00", "1 + 2/0h")
+    for bad in ("", "  ", "z + t", "1 ++ 2", "q^2", "z^-2", "t^(1/3)", "1.5", "z^",
+                *zero_denominators):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
+    with pytest.raises(ParseError):
+        parse_h_series("1 + 1/0*h^2", 4)
     with pytest.raises(ParseError):
         parse_z_poly("z + z^2")  # mixed parity
     with pytest.raises(ParseError):
@@ -227,6 +233,37 @@ def test_z_exponent_limit():
         with pytest.raises(ParseError) as exc_info:
             parse_z_poly(text)
         assert f"exceeds the limit {MAX_ORDER}" in str(exc_info.value)
+
+
+def test_t_exponent_limit(monkeypatch):
+    top = f"t^{MAX_ORDER // 2} + t^-{MAX_ORDER // 2}"
+    assert parse_half_laurent(top).support == (-MAX_ORDER, MAX_ORDER)
+    assert parse_half_laurent("t^4000000 - t^4000000 + t") == HalfLaurent.monomial(2)
+    monkeypatch.setattr("nabla_lmo.parsing.HalfLaurent", None)  # no Laurent work
+    for text in (
+        f"t^{MAX_ORDER // 2 + 1} + 1 + t^-{MAX_ORDER // 2}",
+        f"t^({MAX_ORDER + 1}/2) + t^(-{MAX_ORDER + 1}/2)",
+        "t^4000000 + 1",
+    ):
+        with pytest.raises(ParseError) as exc_info:
+            parse_half_laurent(text)
+        assert f"exceeds the limit {MAX_ORDER}" in str(exc_info.value)
+
+
+def test_long_integers_are_parse_errors(tmp_path):
+    nines = "9" * 5000
+    for text in (f"1 + z^{nines}", f"{nines}*z^2", f"1/{nines}", f"t^({nines}/2)"):
+        with pytest.raises(ParseError) as exc_info:
+            parse_polynomial(text)
+        assert "integer longer than" in str(exc_info.value)
+    with pytest.raises(ParseError):
+        parse_h_series(f"1 + h^2 + O(h^{nines})", 4)
+    path = tmp_path / "long.json"
+    path.write_text('{"matrix": [[%s]]}' % nines)
+    with pytest.raises(ParseError) as exc_info:
+        read_seifert_file(str(path))
+    limit = sys.get_int_max_str_digits()
+    assert str(exc_info.value) == f"{path}: invalid JSON (a number longer than {limit} digits)"
 
 
 def test_lmo_file_order_limit_is_checked_before_series_work(tmp_path, monkeypatch):

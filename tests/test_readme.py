@@ -1,0 +1,63 @@
+"""The examples in README's "Command-line usage" block, run through cli.main.
+
+``$ cat FILE`` writes the lines that follow it to FILE; ``$ nabla-lmo ...``
+runs the command (``> FILE`` sends its stdout to FILE) and compares stdout
+with the lines shown, where a last line ``...`` asks only for a prefix.
+"""
+
+import shlex
+from pathlib import Path
+
+from nabla_lmo.cli import ORDER_ENV, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def usage_block() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command-line usage", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def examples(lines: list[str]):
+    """Yield (argv, shown output lines) per ``$`` line, in order."""
+    i = 0
+    while i < len(lines):
+        if not lines[i].startswith("$ "):
+            assert not lines[i], f"README line outside an example: {lines[i]!r}"
+            i += 1
+            continue
+        argv = shlex.split(lines[i][2:])
+        i += 1
+        shown = []
+        while i < len(lines) and lines[i] and not lines[i].startswith("$ "):
+            shown.append(lines[i])
+            i += 1
+        yield argv, shown
+
+
+def test_readme_usage_examples(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ORDER_ENV, raising=False)
+    lines = usage_block()
+    commands = 0
+    for argv, shown in examples(lines):
+        if argv[0] == "cat":
+            (tmp_path / argv[1]).write_text("\n".join(shown) + "\n")
+            continue
+        assert argv[0] == "nabla-lmo"
+        target = None
+        if len(argv) > 2 and argv[-2] == ">":
+            argv, target = argv[:-2], argv[-1]
+        assert main(argv[1:]) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        if target is not None:
+            assert not shown, argv
+            (tmp_path / target).write_text(out)
+        elif shown and shown[-1] == "...":
+            assert out.splitlines()[: len(shown) - 1] == shown[:-1], argv
+        else:
+            assert out.splitlines() == shown, argv
+        commands += 1
+    assert commands == sum(line.startswith("$ nabla-lmo ") for line in lines) > 0

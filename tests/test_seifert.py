@@ -8,7 +8,6 @@ from nabla_lmo.errors import DomainError
 from nabla_lmo.matrices import add, as_matrix, det, matmul, scale, transpose
 from nabla_lmo.seifert import (
     SeifertMatrix,
-    decompose,
     realizability_report,
     skew_normal_form,
 )
@@ -27,16 +26,18 @@ def test_seifert_matrix_validation():
 
 
 def test_decompose_examples():
-    f, u = decompose(SeifertMatrix(TREFOIL))
+    v = SeifertMatrix(TREFOIL)
+    f, u = v.skew_part, v.symmetric_part
     assert f == as_matrix([[0, 1], [-1, 0]])
     assert u == as_matrix([[-1, Fraction(1, 2)], [Fraction(1, 2), -1]])
 
     sym = SeifertMatrix([[2, 1], [1, 0]])
-    f, u = decompose(sym)
+    f, u = sym.skew_part, sym.symmetric_part
     assert f == as_matrix([[0, 0], [0, 0]])
     assert u == sym.entries
 
-    f, u = decompose(SeifertMatrix([[0, 1], [0, 0]]))
+    v = SeifertMatrix([[0, 1], [0, 0]])
+    f, u = v.skew_part, v.symmetric_part
     assert f == as_matrix([[0, 1], [-1, 0]])
     assert u == as_matrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
 
@@ -50,7 +51,7 @@ def test_decompose_recomposes():
             for _ in range(n)
         ]
         v = SeifertMatrix(rows)
-        f, u = decompose(v)
+        f, u = v.skew_part, v.symmetric_part
         assert add(u, scale(f, Fraction(1, 2))) == v.entries
         assert transpose(f) == scale(f, Fraction(-1))
         assert transpose(u) == u
