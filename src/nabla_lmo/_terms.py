@@ -8,8 +8,11 @@ which take and return normalized term dicts.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional
+
+from .errors import DomainError
 
 
 def drop_zeros(terms: dict) -> dict:
@@ -56,6 +59,18 @@ def mul(a: dict, b: dict, combine: Callable[[Hashable, Hashable], Hashable]) -> 
     return drop_zeros(out)
 
 
+def text(x) -> str:
+    """str(x) of an int or Fraction; DomainError, not ValueError, when x has
+    more digits than Python converts to text."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            f"a number to print has more than {sys.get_int_max_str_digits()} digits, "
+            "the most Python converts to text"
+        ) from None
+
+
 def signed_sum(terms: Iterable[tuple[Fraction, Optional[str]]], sep: str = "*") -> str:
     """``a - b + c`` from (coefficient, monomial text) pairs, "0" when empty;
     a term reads ``|c|<sep><monomial>``, the monomial alone when |c| = 1, and
@@ -63,7 +78,7 @@ def signed_sum(terms: Iterable[tuple[Fraction, Optional[str]]], sep: str = "*") 
     parts = []
     for c, mono in terms:
         a = abs(c)
-        body = str(a) if mono is None else mono if a == 1 else f"{a}{sep}{mono}"
+        body = text(a) if mono is None else mono if a == 1 else f"{text(a)}{sep}{mono}"
         if parts:
             parts.append(f" - {body}" if c < 0 else f" + {body}")
         else:

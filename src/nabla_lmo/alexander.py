@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import matrices
+from . import _terms, matrices
 from .errors import DomainError
 from .laurent import HalfLaurent, ZPoly, rewrite_in_z
 from .seifert import SeifertMatrix
@@ -125,7 +125,7 @@ def normalize_delta(delta: HalfLaurent, h1_order: int) -> NablaResult:
         raise DomainError("value at t = 1 vanishes: link case, not supported here")
     else:
         raise DomainError(
-            f"value at t = 1 is {value}, not +-{h1_order}; inconsistent h1_order"
+            f"value at t = 1 is {_terms.text(value)}, not +-{h1_order}; inconsistent h1_order"
         )
     nabla = shifted * Fraction(eps, h1_order)
     return NablaResult(nabla, rewrite_in_z(nabla, 0), 1)

@@ -12,6 +12,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from . import _terms
 from .alexander import NablaResult, nabla_from_seifert, normalize_delta
 from .errors import DomainError, ParseError
 from .fixtures import load_fixtures
@@ -55,41 +56,37 @@ def _resolve_order(value: Optional[int]) -> int:
     return value
 
 
-def _print_nabla(result: NablaResult) -> None:
-    print(result.z_form)
-    print(result.polynomial)
+def _nabla_text(result: NablaResult) -> str:
+    return f"{result.z_form}\n{result.polynomial}"
 
 
-def _print_labeled_matrix(labels: Sequence[str], m: Matrix) -> None:
-    print("labels:" + "".join(f" {x}" for x in labels))
-    for row in m:
-        print(" ".join(str(x) for x in row))
+def _labeled_matrix_text(labels: Sequence[str], m: Matrix) -> list[str]:
+    return ["labels:" + "".join(f" {x}" for x in labels)] + [
+        " ".join(_terms.text(x) for x in row) for row in m
+    ]
 
 
-def _cmd_nabla(args) -> int:
+def _cmd_nabla(args) -> str:
     matrix, components, _ = read_seifert_file(args.seifert)
-    _print_nabla(nabla_from_seifert(matrix, components))
-    return 0
+    return _nabla_text(nabla_from_seifert(matrix, components))
 
 
-def _cmd_normalize_delta(args) -> int:
+def _cmd_normalize_delta(args) -> str:
     delta = parse_half_laurent(args.delta)
-    _print_nabla(normalize_delta(delta, args.h1))
-    return 0
+    return _nabla_text(normalize_delta(delta, args.h1))
 
 
-def _cmd_surgery(args) -> int:
+def _cmd_surgery(args) -> str:
     m = read_linking_file(args.linking)
-    transformed = surgery_transform(m)
-    _print_labeled_matrix(m.residual_labels, transformed)
+    lines = _labeled_matrix_text(m.residual_labels, surgery_transform(m))
     pos, neg = signature_pair(m.surgery_block)
-    print(f"signature: ({pos}, {neg})")
+    lines.append(f"signature: ({pos}, {neg})")
     if is_integral(m.surgery_block):
-        print(f"h1_order: {h1_order(m.surgery_block)}")
-    return 0
+        lines.append(f"h1_order: {_terms.text(h1_order(m.surgery_block))}")
+    return "\n".join(lines)
 
 
-def _cmd_aarhus_struts(args) -> int:
+def _cmd_aarhus_struts(args) -> str:
     m = read_linking_file(args.linking)
     if args.route == "schur":
         q = strut_part_of_aarhus(m)
@@ -99,24 +96,21 @@ def _cmd_aarhus_struts(args) -> int:
         q = strut_part_of_aarhus(m)
         if gaussian_pair(m) != q:
             raise DomainError("wick and schur routes disagree")
-    _print_labeled_matrix(q.labels, q.matrix)
-    return 0
+    return "\n".join(_labeled_matrix_text(q.labels, q.matrix))
 
 
-def _cmd_mmr(args) -> int:
+def _cmd_mmr(args) -> str:
     matrix, components, _ = read_seifert_file(args.seifert)
-    print(mmr_series(matrix, components, _resolve_order(args.order)))
-    return 0
+    return str(mmr_series(matrix, components, _resolve_order(args.order)))
 
 
-def _cmd_wheels(args) -> int:
+def _cmd_wheels(args) -> str:
     order = _resolve_order(args.order)
     if args.from_seifert is not None:
         matrix, components, _ = read_seifert_file(args.from_seifert)
         if components != 1:
             raise DomainError("wheel data is defined for knots (1 component)")
-        print(aarhus_wheels(matrix, order))
-        return 0
+        return str(aarhus_wheels(matrix, order))
     source = args.from_series
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -124,55 +118,53 @@ def _cmd_wheels(args) -> int:
                 source = fh.read().strip()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{source}: not UTF-8 text ({exc})") from None
-    print(wheels_from_series(parse_h_series(source, order)))
-    return 0
+    return str(wheels_from_series(parse_h_series(source, order)))
 
 
-def _print_wheel_data(data, as_json: bool) -> None:
+def _wheel_data_text(data, as_json: bool) -> str:
     if as_json:
-        print(lmo_data_to_json(data))
-        return
-    print(f"order: {data.order}")
-    print(f"h1_order: {data.h1_order}")
-    print(f"knot_wheels: {data.knot_wheels}")
-    print(f"nu_wheels: {data.nu_wheels}")
+        return lmo_data_to_json(data)
+    return (
+        f"order: {data.order}\n"
+        f"h1_order: {data.h1_order}\n"
+        f"knot_wheels: {data.knot_wheels}\n"
+        f"nu_wheels: {data.nu_wheels}"
+    )
 
 
-def _cmd_lmo(args) -> int:
+def _cmd_lmo(args) -> str:
     if args.invert is not None:
         data = read_lmo_file(args.invert)
         max_z = args.max_z_degree if args.max_z_degree is not None else data.order
-        print(nabla_from_lmo_wheel_data(data, max_z))
-        return 0
+        return str(nabla_from_lmo_wheel_data(data, max_z))
     if args.tor is None:
         raise ParseError("--tor is required with --nabla")
     p = parse_z_poly(args.nabla)
     data = lmo_wheel_data(p, args.tor, _resolve_order(args.order))
-    _print_wheel_data(data, args.json)
-    return 0
+    return _wheel_data_text(data, args.json)
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args) -> str:
     p = parse_z_poly(args.nabla)
     order = _resolve_order(args.order)
     data = lmo_wheel_data(p, args.tor, order)
     recovered = nabla_from_lmo_wheel_data(data, max(p.z_degree, 0))
     if recovered != p:
         raise DomainError(f"round trip failed: {p} came back as {recovered}")
-    print(f"roundtrip ok: {p} (tor_order={args.tor}, order={order})")
-    return 0
+    return f"roundtrip ok: {p} (tor_order={args.tor}, order={order})"
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args) -> str:
+    lines = []
     for fx in load_fixtures():
         rows = "[" + ", ".join(
             "[" + ", ".join(str(x) for x in row) + "]" for row in fx.seifert.entries
         ) + "]"
-        print(
+        lines.append(
             f"{fx.name}: components={fx.components}, "
             f"nabla = {fx.expected_nabla}, matrix = {rows}"
         )
-    return 0
+    return "\n".join(lines)
 
 
 def _add_order_flag(sub) -> None:
@@ -271,9 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. Its whole output is formatted before anything is
+    printed, so a rejected input leaves stdout empty."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print(args.func(args))
+        return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

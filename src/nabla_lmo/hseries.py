@@ -1,15 +1,35 @@
-"""Truncated rational power series in the formal variable h.
+"""Truncated rational power series in the formal variable h, and the exact
+change of variables z = e^(h/2) - e^(-h/2) = 2 sinh(h/2) between them and
+polynomials in z^2.
 
 A series carries its own truncation order D and stores the dense coefficient
 vector c_0..c_D; arithmetic never claims precision beyond D, and mixed-order
 operations truncate to the smaller order. Everything is exact Fraction
 arithmetic.
+
+The change of variables runs on integers, through two identities:
+
+- **Central factorial numbers.** In exponential form (coefficients of
+  h^n / n!), (z^2)^k = (2k)! * sum_m T(2m,2k) h^(2m) / (2m)!, where T is the
+  triangle of central factorial numbers of the second kind,
+  T(2m,2k) = T(2m-2,2k-2) + k^2 T(2m-2,2k), T(0,0) = 1. Its inverse is the
+  triangle of the first kind, t(2k,2m) = t(2k-2,2m-2) - (k-1)^2 t(2k-2,2m),
+  t(0,0) = 1 (Butzer-Schmidt-Stark-Vogt 1989; Riordan 1968). So the
+  exponential-form coefficients G_2m of sum_k b_k z^(2k) and the b_k
+  determine each other by one triangular sum each way.
+- **Logs and exps in exponential form.** If F = sum F_n h^n / n! with F_0 = 1
+  and L = log F = sum l_n h^n / n!, then F' = L' F gives
+  F_n = sum_(1<=k<=n) C(n-1,k-1) l_k F_(n-k), which solves for l_n (log) or
+  for F_n (exp) with integer binomials only. Scaling index 2m by S_m, with
+  S_j S_(m-j) | S_m (d^m for a polynomial with common denominator d), keeps
+  the recurrence in Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
 from typing import Sequence, Union
 
 from . import _terms
@@ -23,9 +43,11 @@ DEFAULT_ORDER = 16
 
 #: Largest truncation order the command line and the wheel data reader
 #: accept, and so the largest z exponent an expression may carry (a z-degree
-#: above the order is rejected anyway). Series work grows like order^2.5:
-#: on a 2-vCPU Xeon host with Python 3.11, one ``lmo`` call takes about 1 s
-#: at order 256 and 9 s at 512.
+#: above the order is rejected anyway). On a 2-vCPU Xeon host with Python
+#: 3.11, ``lmo_wheel_data`` and ``nabla_from_lmo_wheel_data`` take 0.02-0.04 s
+#: at order 256 (integer tables, first call included). ``mmr`` and
+#: ``wheels --from-series`` still multiply and take logs of Fraction series,
+#: which grows like order^2.5: ``mmr`` on the trefoil takes 0.4 s at 256.
 MAX_ORDER = 256
 
 
@@ -249,29 +271,140 @@ def z_squared_series(order: int = DEFAULT_ORDER) -> HSeries:
     return HSeries(cs, order)
 
 
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _cf_second_kind(m: int) -> tuple[int, ...]:
+    """Row m of the second-kind central factorial triangle: T(2m,2k) for
+    k = 0..m."""
+    if m == 0:
+        return (1,)
+    prev = _cf_second_kind(m - 1) + (0,)
+    return (0,) + tuple(prev[k - 1] + k * k * prev[k] for k in range(1, m + 1))
+
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _cf_first_kind(k: int) -> tuple[int, ...]:
+    """Row k of the first-kind central factorial triangle: t(2k,2m) for
+    m = 0..k."""
+    if k == 0:
+        return (1,)
+    prev = _cf_first_kind(k - 1) + (0,)
+    sq = (k - 1) ** 2
+    return (0,) + tuple(prev[m - 1] - sq * prev[m] for m in range(1, k + 1))
+
+
+def _exp_form_from_z(b: Sequence[int], top: int) -> list[int]:
+    """[h^(2m)/(2m)!] of sum_k b_k (z^2)^k / (2k)! for m = 0..top."""
+    out = []
+    for m in range(top + 1):
+        row = _cf_second_kind(m)
+        out.append(sum(row[k] * b[k] for k in range(min(m + 1, len(b)))))
+    return out
+
+
+def _z_from_exp_form(gamma: Sequence[int], scales: Sequence[int]) -> list[Fraction]:
+    """b_k of sum_k b_k z^(2k) = sum_m G_2m h^(2m)/(2m)!, given
+    gamma[m] = G_2m * scales[m] with each scale dividing the next, for
+    k = 0..len(gamma)-1. The sum over the first-kind row is brought to the
+    denominator scales[k] by Horner's rule in the ratios of the scales."""
+    steps = [1] + [b // a for a, b in zip(scales, scales[1:])]
+    out = []
+    for k in range(len(gamma)):
+        acc = 0
+        for t, g, step in zip(_cf_first_kind(k), gamma, steps):
+            acc = acc * step + t * g
+        out.append(Fraction(acc, scales[k] * factorial(2 * k)))
+    return out
+
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _odd_binomials(m: int) -> tuple[int, ...]:
+    """C(2m-1, 2j-1) for j = 0..m (0 at j = 0): F' = L' F on even series
+    in exponential form."""
+    return (0,) + tuple(comb(2 * m - 1, 2 * j - 1) for j in range(1, m + 1))
+
+
+def _weights(scales: Sequence[int]):
+    """m -> the row C(2m-1, 2j-1) * scales[m] / (scales[j] * scales[m-j]).
+    When the scales are the powers of one integer, as they are for data that
+    comes from a polynomial, the ratios are 1 and the binomial rows serve."""
+    if all(s == scales[1] ** m for m, s in enumerate(scales[2:], 2)):
+        return _odd_binomials
+    return lambda m: tuple(
+        c * (scales[m] // (scales[j] * scales[m - j])) for j, c in enumerate(_odd_binomials(m))
+    )
+
+
+def _even_log(f: Sequence[int], scales: Sequence[int]) -> list[int]:
+    """log of sum_m F_2m h^(2m)/(2m)! (F_0 = 1) in the same form, on
+    f[m] = F_2m * scales[m]: returns l_2m * scales[m] (index 0 holds 0).
+    The scales must satisfy scales[j] * scales[m-j] | scales[m]."""
+    weights = _weights(scales)
+    out = [0] * len(f)
+    for m in range(1, len(f)):
+        w = weights(m)
+        out[m] = f[m] - sum(w[j] * out[j] * f[m - j] for j in range(1, m))
+    return out
+
+
+def _even_exp(lam: Sequence[int], scales: Sequence[int]) -> list[int]:
+    """exp of sum_m l_2m h^(2m)/(2m)! in the same form, on
+    lam[m] = l_2m * scales[m] (lam[0] is ignored): returns F_2m * scales[m],
+    F_0 = 1. The scales must satisfy scales[j] * scales[m-j] | scales[m]."""
+    weights = _weights(scales)
+    out = [1] + [0] * (len(lam) - 1)
+    for m in range(1, len(lam)):
+        w = weights(m)
+        out[m] = sum(w[j] * lam[j] * out[m - j] for j in range(1, m + 1))
+    return out
+
+
+def _power_scales(values: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """Scales S_m making every values[m] * S_m integral, with
+    S_j * S_(m-j) | S_m, and those integers (values[0] must be an integer).
+
+    S_m = prod_j u_j^floor(m/j), where u_m is the part of the denominator of
+    values[m] that the earlier factors leave uncovered. A product of values
+    whose indices sum to m has a denominator dividing S_m, and for unrelated
+    denominators S_m is the least such scale; one common s^m would carry the
+    index-m denominator into every later index m times over."""
+    u = [1] * len(values)
+    scales = [1]
+    for m in range(1, len(values)):
+        base = 1
+        for j in range(1, m):
+            if u[j] > 1:
+                base *= u[j] ** (m // j)
+        q = values[m].denominator
+        u[m] = q // gcd(q, base)
+        scales.append(base * u[m])
+    return scales, [v.numerator * (s // v.denominator) for v, s in zip(values, scales)]
+
+
+def _z_poly_of_degree(b: Sequence[Fraction], max_z_degree: int, order: int) -> ZPoly:
+    """ZPoly(0, b), after checking that b_k = 0 above z^max_z_degree: the
+    triangle is invertible, so this is the residual check at the order."""
+    keep = max(max_z_degree // 2 + 1, 0)
+    if any(b[keep:]):
+        raise DomainError(
+            f"series is not a polynomial in z^2 of z-degree <= {max_z_degree} "
+            f"at order {order}"
+        )
+    return ZPoly(0, b[:keep])
+
+
 def series_to_z_poly(g: HSeries, max_z_degree: int) -> ZPoly:
     """Recognize an even series as a polynomial in z^2, up to the series order.
 
-    Works from the bottom: the series of (z^2)^k starts at h^(2k) with
-    coefficient 1, so coefficients are peeled off one by one. DomainError when
-    odd-order terms are present or a nonzero residual remains.
+    The exponential-form coefficients G_2m = (2m)! g_2m, cleared of their
+    common denominator, go through the first-kind central factorial triangle.
+    DomainError when odd-order terms are present or a nonzero residual
+    remains.
     """
     if any(g.coeff(m) != 0 for m in range(1, g.order + 1, 2)):
         raise DomainError("series has odd-order terms; not a polynomial in z^2")
-    kmax = min(max_z_degree // 2, g.order // 2)
-    z2 = z_squared_series(g.order)
-    power = HSeries.one(g.order)
-    residual = g
-    b = []
-    for k in range(kmax + 1):
-        bk = residual.coeff(2 * k)
-        b.append(bk)
-        if bk != 0:
-            residual = residual - power * bk
-        power = power * z2
-    if not residual.is_zero:
-        raise DomainError(
-            f"series is not a polynomial in z^2 of z-degree <= {max_z_degree} "
-            f"at order {g.order}"
-        )
-    return ZPoly(0, b)
+    exp_form = [g.coeff(2 * m) * factorial(2 * m) for m in range(g.order // 2 + 1)]
+    den = lcm(*(x.denominator for x in exp_form))
+    b = _z_from_exp_form(
+        [x.numerator * (den // x.denominator) for x in exp_form], [den] * len(exp_form)
+    )
+    return _z_poly_of_degree(b, max_z_degree, g.order)

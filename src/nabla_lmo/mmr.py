@@ -10,24 +10,104 @@ manifold obtained by 0-surgery inside a rational homology sphere with
 |H1| = r, passing to the surgery-normalized invariant multiplies degree-2n
 data by r^(2n). Both directions of this translation are implemented; the
 inverse direction recognizes the wheel data of a polynomial and recovers it.
-The unknot normalization (the wheels of c(h) alone) is a pure function of
-the truncation order, so wheel data derives it from the order instead of
-storing it.
+
+``lmo_wheel_data``, its inverse and ``aarhus_wheels`` build neither c(h)
+nor a Fraction series (``mmr_series`` still does, since the series is its
+output). Three identities make the translation integer arithmetic:
+
+- **The unknot is Bernoulli.** The wheels of c(h) alone (the unknot
+  normalization, a pure function of the truncation order) are
+  nu_2n = B_2n / (4n (2n)!), the modified Bernoulli numbers of
+  Bar-Natan-Garoufalidis-Rozansky-Thurston ("Wheels, wheeling, and the
+  Kontsevich integral of the unknot", 2000). B_2n comes from the tangent
+  numbers (Brent-Harvey, arXiv:1108.0286). Since the log of a product is a
+  sum of logs, knot wheels are r^(2n) (nu_2n - l_2n / (2 (2n)!)), where l is
+  the exponential-form log of nabla(z(h)).
+- **z <-> h is the central factorial triangle**, and
+- **logs and exps run in exponential form** on scaled integers; both are
+  described in ``hseries``. The inverse takes
+  g = exp(-2 sum (a_2n / r^(2n) - nu_2n) h^(2n)) and reads its polynomial in
+  z^2 off the first-kind triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, lcm
+from typing import Sequence
 
+from . import _terms
 from .alexander import nabla_from_seifert
 from .errors import DomainError
 from .hseries import (
-    DEFAULT_ORDER, HSeries, _z_over_h_series, c_series, series_to_z_poly, substitute_exp
+    DEFAULT_ORDER,
+    MAX_ORDER,
+    HSeries,
+    _even_exp,
+    _even_log,
+    _exp_form_from_z,
+    _power_scales,
+    _z_from_exp_form,
+    _z_poly_of_degree,
+    c_series,
+    substitute_exp,
 )
 from .laurent import ZPoly
 from .seifert import SeifertMatrix
-from .wheels import WheelSeries, rescale_degree, w_nabla, wheels_from_series
+from .wheels import WheelSeries
+
+
+def _tangent_numbers(count: int) -> list[int]:
+    """T_1..T_count with tan x = sum T_n x^(2n-1) / (2n-1)! (index 0 holds 0),
+    by the in-place integer recurrence of Brent and Harvey."""
+    t = [0] * (count + 1)
+    if count >= 1:
+        t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _unknot(top: int) -> tuple[Fraction, ...]:
+    """nu_0 = 0, nu_2, ..., nu_(2 top): nu_2n = B_2n / (4n (2n)!) with
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))."""
+    t = _tangent_numbers(top)
+    return (Fraction(0),) + tuple(
+        Fraction(t[n] if n % 2 else -t[n], 2 * 4 ** n * (4 ** n - 1) * factorial(2 * n))
+        for n in range(1, top + 1)
+    )
+
+
+def _knot_wheels(b: Sequence[Fraction], order: int, r: int) -> WheelSeries:
+    """r^(2n) (nu_2n - l_2n / (2 (2n)!)) for 2n <= order, where
+    nabla = sum b_k z^(2k) with b_0 = 1 and l is the exponential-form log of
+    nabla(z(h)). With d the common denominator of the b_k, the
+    exponential-form coefficients times d^m are integers."""
+    top = order // 2
+    b = b[: top + 1]
+    d = lcm(*(c.denominator for c in b))
+    scales = [d ** m for m in range(top + 1)]
+    scaled = _exp_form_from_z(
+        [c.numerator * (d // c.denominator) * factorial(2 * k) for k, c in enumerate(b)], top
+    )
+    # d F_2m -> d^m F_2m
+    f = [1] + [x * s // d for x, s in zip(scaled[1:], scales[1:])]
+    lam = _even_log(f, scales)
+    nu = _unknot(top)
+    out = {}
+    for m in range(1, top + 1):
+        den = 2 * factorial(2 * m) * scales[m]
+        out[2 * m] = Fraction(
+            (nu[m].numerator * den - lam[m] * nu[m].denominator) * r ** (2 * m),
+            nu[m].denominator * den,
+        )
+    return WheelSeries(out)
 
 
 def mmr_series(
@@ -40,14 +120,19 @@ def mmr_series(
 
 def aarhus_wheels(v: SeifertMatrix, order: int = DEFAULT_ORDER) -> WheelSeries:
     """Wheel coefficients of the universal invariant of the 0-framed knot
-    with Seifert matrix V, read off the series above."""
-    return wheels_from_series(mmr_series(v, 1, order))
+    with Seifert matrix V: the wheels of the series above, computed from
+    nabla without building it. DomainError when nabla(1) != 1."""
+    z_form = nabla_from_seifert(v, 1).z_form
+    if z_form.value_at_z_zero() != 1:
+        raise DomainError("series must have constant term 1")
+    return _knot_wheels(z_form.coeffs, order, 1)
 
 
 def nu_wheels(order: int = DEFAULT_ORDER) -> WheelSeries:
     """Wheel coefficients of the unknot normalization: a2 = 1/48,
-    a4 = -1/5760, ..."""
-    return wheels_from_series(c_series(order))
+    a4 = -1/5760, ..., a2n = B_2n / (4n (2n)!)."""
+    nu = _unknot(order // 2)
+    return WheelSeries({2 * n: nu[n] for n in range(1, len(nu))})
 
 
 @dataclass(frozen=True)
@@ -91,7 +176,7 @@ def lmo_wheel_data(
         raise DomainError("polynomial of a closed manifold has no z prefactor")
     if nabla_m.value_at_z_zero() != 1:
         raise DomainError(
-            f"value at t = 1 is {nabla_m.value_at_z_zero()}, not 1; "
+            f"value at t = 1 is {_terms.text(nabla_m.value_at_z_zero())}, not 1; "
             "not the polynomial of a rank-one manifold"
         )
     if nabla_m.z_degree > order:
@@ -99,20 +184,30 @@ def lmo_wheel_data(
             f"z-degree {nabla_m.z_degree} exceeds the truncation order {order}; "
             f"an order of at least {nabla_m.z_degree} is needed"
         )
-    f = c_series(order) * substitute_exp(nabla_m.expand(), order)
-    knot = rescale_degree(wheels_from_series(f), tor_order)
-    return LmoWheelData(knot, tor_order, order)
+    return LmoWheelData(_knot_wheels(nabla_m.coeffs, order, tor_order), tor_order, order)
 
 
 def nabla_from_lmo_wheel_data(data: LmoWheelData, max_z_degree: int) -> ZPoly:
-    """Inverse of ``lmo_wheel_data``: undo the degree rescaling, apply the
-    weight system, strip the unknot normalization, and recognize the result
-    as a polynomial in z^2.
+    """Inverse of ``lmo_wheel_data``: undo the degree rescaling, strip the
+    unknot normalization, exponentiate, and recognize the result as a
+    polynomial in z^2.
 
     DomainError when the wheel data does not come from such a polynomial of
     z-degree <= max_z_degree (nonzero residual at the stored order).
     """
-    w = rescale_degree(data.knot_wheels, Fraction(1, data.h1_order))
-    f = w_nabla(w, data.order)
-    g = f * _z_over_h_series(data.order)
-    return series_to_z_poly(g, max_z_degree)
+    top = data.order // 2
+    nu = _unknot(top)
+    r2 = data.h1_order ** 2
+    # l_2m = -2 (a_2m / r^(2m) - nu_2m) (2m)!, one Fraction per index
+    ell = [Fraction(0)]
+    for m in range(1, top + 1):
+        a = data.knot_wheels.coefficient(2 * m)
+        rm = r2 ** m
+        ell.append(Fraction(
+            -2 * factorial(2 * m)
+            * (a.numerator * nu[m].denominator - nu[m].numerator * a.denominator * rm),
+            a.denominator * nu[m].denominator * rm,
+        ))
+    scales, lam = _power_scales(ell)
+    b = _z_from_exp_form(_even_exp(lam, scales), scales)
+    return _z_poly_of_degree(b, max_z_degree, data.order)

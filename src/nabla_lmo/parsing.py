@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Union
 
+from . import _terms
 from .errors import DomainError, ParseError
 from .hseries import MAX_ORDER, HSeries
 from .laurent import HalfLaurent, ZPoly
@@ -200,19 +201,32 @@ def parse_h_series(text: str, order: int) -> HSeries:
     return HSeries(cs, order)
 
 
+#: How much of a rejected value an error message repeats.
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message; past ``_ECHO_CHARS`` characters, its
+    start and its length."""
+    shown = repr(value)
+    if len(shown) <= _ECHO_CHARS:
+        return shown
+    return f"{shown[:_ECHO_CHARS]}... ({len(shown)} characters)"
+
+
 def _rational(value, context: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{context}: expected an exact rational, got {value!r}")
+        raise ParseError(f"{context}: expected an exact rational, got {_echo(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
-            raise ParseError(f"{context}: cannot parse rational {value!r}")
+            raise ParseError(f"{context}: cannot parse rational {_echo(value)}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{context}: cannot parse rational {value!r}") from None
-    raise ParseError(f"{context}: expected an exact rational, got {value!r}")
+            raise ParseError(f"{context}: cannot parse rational {_echo(value)}") from None
+    raise ParseError(f"{context}: expected an exact rational, got {_echo(value)}")
 
 
 def _load_json(path: str):
@@ -280,11 +294,15 @@ def read_linking_file(path: str) -> FramedLinkMatrix:
 
 def lmo_data_to_json(data: LmoWheelData) -> str:
     """Serialize wheel data deterministically (indices ascending)."""
+
+    def wheels(w: WheelSeries) -> dict[str, str]:
+        return {str(k): _terms.text(v) for k, v in w.coefficients.items()}
+
     payload = {
         "order": data.order,
         "h1_order": data.h1_order,
-        "knot_wheels": {str(k): str(v) for k, v in data.knot_wheels.coefficients.items()},
-        "nu_wheels": {str(k): str(v) for k, v in data.nu_wheels.coefficients.items()},
+        "knot_wheels": wheels(data.knot_wheels),
+        "nu_wheels": wheels(data.nu_wheels),
     }
     return json.dumps(payload, indent=2)
 
@@ -297,7 +315,7 @@ def _wheels_from_json(obj, context: str) -> WheelSeries:
         try:
             idx = int(k)
         except ValueError:
-            raise ParseError(f"{context}: bad wheel index {k!r}") from None
+            raise ParseError(f"{context}: bad wheel index {_echo(k)}") from None
         coeffs[idx] = _rational(v, context)
     try:
         return WheelSeries(coeffs)

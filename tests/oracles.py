@@ -4,8 +4,10 @@ Everything here is deliberately written by a different route than the
 package code: cofactor expansion instead of fraction-free elimination,
 explicit row elimination instead of the Schur formula, direct series
 manipulation on plain coefficient lists instead of HSeries methods, every
-permutation of legs instead of distinct gluings, and every exponent vector
-instead of one walk per strut monomial.
+permutation of legs instead of distinct gluings, every exponent vector
+instead of one walk per strut monomial, and the Fraction-series wheel
+translation (c(h) times nabla(e^(h/2)), HSeries log and exp, peeling powers
+of z^2) instead of the integer central factorial and Bernoulli route.
 """
 
 from fractions import Fraction
@@ -14,6 +16,9 @@ from math import factorial, floor
 
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
+from nabla_lmo.hseries import HSeries, c_series, substitute_exp, z_squared_series
+from nabla_lmo.laurent import ZPoly
+from nabla_lmo.wheels import rescale_degree, w_nabla, wheels_from_series
 
 
 def det_cofactor(rows):
@@ -242,3 +247,48 @@ def exp_linear_by_exponents(entries, bound):
         key = tuple(struts)
         acc[key] = acc.get(key, Fraction(0)) + coeff
     return StrutPolynomial(acc)
+
+
+def nu_wheels_by_series(order):
+    """The unknot normalization as the wheels of c(h): a reciprocal and a log."""
+    return wheels_from_series(c_series(order))
+
+
+def lmo_knot_wheels_by_series(nabla_m, tor_order, order):
+    """Knot wheels of ``lmo_wheel_data`` the long way: the log of
+    c(h) * nabla(e^(h/2)) as a Fraction series, rescaled by r^(2n)."""
+    f = c_series(order) * substitute_exp(nabla_m.expand(), order)
+    return rescale_degree(wheels_from_series(f), tor_order)
+
+
+def z_poly_by_peeling(g, max_z_degree):
+    """Recognize an even series as a polynomial in z^2 from the bottom: the
+    series of (z^2)^k starts at h^(2k) with coefficient 1, so coefficients are
+    peeled off one by one against repeated powers of z^2."""
+    if any(g.coeff(m) != 0 for m in range(1, g.order + 1, 2)):
+        raise DomainError("series has odd-order terms; not a polynomial in z^2")
+    kmax = min(max_z_degree // 2, g.order // 2)
+    z2 = z_squared_series(g.order)
+    power = HSeries.one(g.order)
+    residual = g
+    b = []
+    for k in range(kmax + 1):
+        bk = residual.coeff(2 * k)
+        b.append(bk)
+        if bk != 0:
+            residual = residual - power * bk
+        power = power * z2
+    if not residual.is_zero:
+        raise DomainError(
+            f"series is not a polynomial in z^2 of z-degree <= {max_z_degree} "
+            f"at order {g.order}"
+        )
+    return ZPoly(0, b)
+
+
+def nabla_from_wheel_data_by_series(data, max_z_degree):
+    """Inverse of the above: undo the rescaling, apply the weight system as a
+    Fraction exp, multiply by (e^(h/2) - e^(-h/2))/h, and peel."""
+    w = rescale_degree(data.knot_wheels, Fraction(1, data.h1_order))
+    g = w_nabla(w, data.order) * HSeries(sinh_ratio_coeffs(data.order), data.order)
+    return z_poly_by_peeling(g, max_z_degree)

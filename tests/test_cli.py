@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from nabla_lmo.cli import ORDER_ENV, main
-from nabla_lmo.hseries import MAX_ORDER
+from nabla_lmo.hseries import MAX_ORDER, HSeries
+from nabla_lmo.mmr import nu_wheels
 
 TREFOIL_JSON = '{"matrix": [["-1", "1"], ["0", "-1"]], "name": "trefoil"}'
 HOPF_SURGERY_JSON = (
@@ -188,6 +190,38 @@ def test_roundtrip_command(capsys):
     assert out == "roundtrip ok: 1 - 3*z^2 + z^4 (tor_order=2, order=10)\n"
 
 
+def test_wheel_translation_builds_no_series(capsys, monkeypatch, tmp_path, trefoil_file):
+    """lmo, its inverse, roundtrip and the knot wheels run on integer tables:
+    no c(h), no series reciprocal, exp or log."""
+    wheel_file = tmp_path / "wheels.json"
+    commands = (
+        ("lmo", "--nabla", "1 + z^2", "--tor", "1", "--order", "4"),
+        ("lmo", "--nabla", "1 - 1/3*z^2 + 2/7*z^4", "--tor", "3", "--order", "33"),
+        ("lmo", "--nabla", "1 + z^2", "--tor", "3", "--order", "6", "--json"),
+        ("lmo", "--invert", str(wheel_file)),
+        ("lmo", "--invert", str(wheel_file), "--max-z-degree", "0"),
+        ("roundtrip", "--nabla", "1 - 3*z^2 + 1/2*z^4", "--tor", "7", "--order", "64"),
+        ("wheels", "--from-seifert", trefoil_file, "--order", "6"),
+    )
+    wheel_file.write_text(run(capsys, *commands[2])[1])
+    expected = [run(capsys, *argv) for argv in commands]
+    assert expected[0][1].startswith("order: 4\nh1_order: 1\nknot_wheels: exp( -23/48 w2 ")
+    assert expected[3] == (0, "1 + z^2\n", "")
+    assert expected[4] == (
+        1, "", "error: series is not a polynomial in z^2 of z-degree <= 0 at order 6\n"
+    )
+    assert expected[6][1] == "exp( -23/48 w2 + 1199/5760 w4 - 45863/362880 w6 )\n"
+
+    def no_series(*args):
+        raise AssertionError("a Fraction series was built")
+
+    for name in ("log", "exp", "reciprocal"):
+        monkeypatch.setattr(HSeries, name, no_series)
+    for name in ("hseries.c_series", "mmr.c_series"):
+        monkeypatch.setattr(f"nabla_lmo.{name}", no_series)
+    assert [run(capsys, *argv) for argv in commands] == expected
+
+
 def test_fixtures_list(capsys):
     rc, out, _ = run(capsys, "fixtures", "list")
     assert rc == 0
@@ -265,6 +299,28 @@ def test_exit_codes(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1
         assert "digits" in err and "Traceback" not in err
 
+    # numbers too long to print end in one error line and an empty stdout
+    too_long = (
+        f"error: a number to print has more than {sys.get_int_max_str_digits()} digits, "
+        "the most Python converts to text\n"
+    )
+    big_seifert = tmp_path / "big_seifert.json"
+    big_seifert.write_text('{"matrix": [["%s", "1"], ["0", "%s"]]}' % (nines[:2500], nines[:2500]))
+    big_wheels = tmp_path / "big_wheels.json"
+    big_wheels.write_text(json.dumps({
+        "order": 4, "h1_order": 1, "knot_wheels": {"2": nines[:3000]},
+        "nu_wheels": {str(k): str(v) for k, v in nu_wheels(4).coefficients.items()},
+    }))
+    for argv in (
+        ("lmo", "--nabla", f"1 + {nines[:200]}*z^2", "--tor", "1", "--order", "64"),
+        ("lmo", "--nabla", f"1 + {nines[:200]}*z^2", "--tor", "1", "--order", "64", "--json"),
+        ("lmo", "--invert", str(big_wheels)),
+        ("mmr", "--seifert", str(big_seifert), "--order", "2"),
+        ("nabla", "--seifert", str(big_seifert)),
+        ("wheels", "--from-series", f"1 + {nines[:3000]}*h^2", "--order", "4"),
+    ):
+        assert run(capsys, *argv) == (1, "", too_long)
+
     # a zero denominator in an expression
     for argv in (
         ("lmo", "--nabla", "1 + 1/0*z^2", "--tor", "1"),
@@ -299,7 +355,10 @@ def test_order_and_exponent_limits(capsys, monkeypatch, tmp_path, trefoil_file):
     def no_series(*args):
         raise AssertionError("series work started")
 
-    for name in ("mmr.c_series", "mmr.nu_wheels", "parsing.nu_wheels"):
+    for name in (
+        "mmr.c_series", "mmr.nu_wheels", "parsing.nu_wheels", "mmr._unknot",
+        "mmr._tangent_numbers", "hseries._cf_second_kind", "hseries._cf_first_kind",
+    ):
         monkeypatch.setattr(f"nabla_lmo.{name}", no_series)
     too_big = str(MAX_ORDER + 1)
     message = f"error: truncation order must be at most {MAX_ORDER}, got {too_big}\n"

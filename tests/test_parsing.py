@@ -266,6 +266,28 @@ def test_long_integers_are_parse_errors(tmp_path):
     assert str(exc_info.value) == f"{path}: invalid JSON (a number longer than {limit} digits)"
 
 
+def test_rejected_values_are_shortened_in_messages(tmp_path):
+    path = tmp_path / "long_string.json"
+    path.write_text('{"matrix": [["%s"]]}' % ("9" * 4999 + "x"))
+    with pytest.raises(ParseError) as exc_info:
+        read_seifert_file(str(path))
+    assert str(exc_info.value) == (
+        f"{path} matrix entry: cannot parse rational '{'9' * 39}... (5002 characters)"
+    )
+    # short values are echoed whole
+    path.write_text('{"matrix": [["1/x"]]}')
+    with pytest.raises(ParseError) as exc_info:
+        read_seifert_file(str(path))
+    assert str(exc_info.value) == f"{path} matrix entry: cannot parse rational '1/x'"
+    path.write_text(json.dumps({"matrix": [[list(range(100))]]}))
+    with pytest.raises(ParseError) as exc_info:
+        read_seifert_file(str(path))
+    assert str(exc_info.value) == (
+        f"{path} matrix entry: expected an exact rational, got "
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... (390 characters)"
+    )
+
+
 def test_lmo_file_order_limit_is_checked_before_series_work(tmp_path, monkeypatch):
     def no_series(order):
         raise AssertionError(f"nu_wheels({order}) was built")
