@@ -21,8 +21,11 @@ The change of variables runs on integers, through two identities:
   and L = log F = sum l_n h^n / n!, then F' = L' F gives
   F_n = sum_(1<=k<=n) C(n-1,k-1) l_k F_(n-k), which solves for l_n (log) or
   for F_n (exp) with integer binomials only. Scaling index 2m by S_m, with
-  S_j S_(m-j) | S_m (d^m for a polynomial with common denominator d), keeps
-  the recurrence in Python ints.
+  S_j S_(m-j) | S_m (``_power_scales``), keeps the recurrence in Python
+  ints.
+
+``z_poly_log`` and ``z_poly_exp`` put the two together: a polynomial in z^2
+to the exponential-form log of its series in h, and back.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ DEFAULT_ORDER = 16
 #: Largest truncation order the command line and the wheel data reader
 #: accept, and so the largest z exponent an expression may carry (a z-degree
 #: above the order is rejected anyway). On a 2-vCPU Xeon host with Python
-#: 3.11, ``lmo_wheel_data`` and ``nabla_from_lmo_wheel_data`` take 0.02-0.04 s
+#: 3.11, ``lmo_wheel_data`` and ``nabla_from_lmo_wheel_data`` take 0.02-0.05 s
 #: at order 256 (integer tables, first call included). ``mmr`` and
 #: ``wheels --from-series`` still multiply and take logs of Fraction series,
 #: which grows like order^2.5: ``mmr`` on the trefoil takes 0.4 s at 256.
@@ -292,13 +295,16 @@ def _cf_first_kind(k: int) -> tuple[int, ...]:
     return (0,) + tuple(prev[m - 1] - sq * prev[m] for m in range(1, k + 1))
 
 
-def _exp_form_from_z(b: Sequence[int], top: int) -> list[int]:
-    """[h^(2m)/(2m)!] of sum_k b_k (z^2)^k / (2k)! for m = 0..top."""
-    out = []
-    for m in range(top + 1):
-        row = _cf_second_kind(m)
-        out.append(sum(row[k] * b[k] for k in range(min(m + 1, len(b)))))
-    return out
+def _exp_form_from_z(b: Sequence[Scalar], top: int) -> list[Fraction]:
+    """G_2m = [h^(2m)/(2m)!] of sum_k b_k z^(2k) for m = 0..top: the b_k times
+    (2k)!, cleared of their common denominator, through the second-kind row."""
+    b = [Fraction(c) for c in b[: top + 1]]
+    den = lcm(*(c.denominator for c in b))
+    scaled = [c.numerator * (den // c.denominator) * factorial(2 * k) for k, c in enumerate(b)]
+    return [
+        Fraction(sum(t * c for t, c in zip(_cf_second_kind(m), scaled)), den)
+        for m in range(top + 1)
+    ]
 
 
 def _z_from_exp_form(gamma: Sequence[int], scales: Sequence[int]) -> list[Fraction]:
@@ -323,25 +329,19 @@ def _odd_binomials(m: int) -> tuple[int, ...]:
     return (0,) + tuple(comb(2 * m - 1, 2 * j - 1) for j in range(1, m + 1))
 
 
-def _weights(scales: Sequence[int]):
-    """m -> the row C(2m-1, 2j-1) * scales[m] / (scales[j] * scales[m-j]).
-    When the scales are the powers of one integer, as they are for data that
-    comes from a polynomial, the ratios are 1 and the binomial rows serve."""
-    if all(s == scales[1] ** m for m, s in enumerate(scales[2:], 2)):
-        return _odd_binomials
-    return lambda m: tuple(
-        c * (scales[m] // (scales[j] * scales[m - j])) for j, c in enumerate(_odd_binomials(m))
-    )
+def _weights(scales: Sequence[int], m: int) -> list[int]:
+    """The row C(2m-1, 2j-1) * scales[m] / (scales[j] * scales[m-j])."""
+    s_m = scales[m]
+    return [c * (s_m // (scales[j] * scales[m - j])) for j, c in enumerate(_odd_binomials(m))]
 
 
 def _even_log(f: Sequence[int], scales: Sequence[int]) -> list[int]:
     """log of sum_m F_2m h^(2m)/(2m)! (F_0 = 1) in the same form, on
     f[m] = F_2m * scales[m]: returns l_2m * scales[m] (index 0 holds 0).
     The scales must satisfy scales[j] * scales[m-j] | scales[m]."""
-    weights = _weights(scales)
     out = [0] * len(f)
     for m in range(1, len(f)):
-        w = weights(m)
+        w = _weights(scales, m)
         out[m] = f[m] - sum(w[j] * out[j] * f[m - j] for j in range(1, m))
     return out
 
@@ -350,10 +350,9 @@ def _even_exp(lam: Sequence[int], scales: Sequence[int]) -> list[int]:
     """exp of sum_m l_2m h^(2m)/(2m)! in the same form, on
     lam[m] = l_2m * scales[m] (lam[0] is ignored): returns F_2m * scales[m],
     F_0 = 1. The scales must satisfy scales[j] * scales[m-j] | scales[m]."""
-    weights = _weights(scales)
     out = [1] + [0] * (len(lam) - 1)
     for m in range(1, len(lam)):
-        w = weights(m)
+        w = _weights(scales, m)
         out[m] = sum(w[j] * lam[j] * out[m - j] for j in range(1, m + 1))
     return out
 
@@ -390,6 +389,23 @@ def _z_poly_of_degree(b: Sequence[Fraction], max_z_degree: int, order: int) -> Z
             f"at order {order}"
         )
     return ZPoly(0, b[:keep])
+
+
+def z_poly_log(b: Sequence[Scalar], top: int) -> list[Fraction]:
+    """l_0 = 0, l_2, ..., l_(2 top): the logarithm of sum_k b_k z^(2k)
+    (b_0 = 1) as the series sum_m l_2m h^(2m)/(2m)! in h."""
+    scales, f = _power_scales(_exp_form_from_z(b, top))
+    return [Fraction(x, s) for x, s in zip(_even_log(f, scales), scales)]
+
+
+def z_poly_exp(ell: Sequence[Fraction], max_z_degree: int, order: int) -> ZPoly:
+    """Inverse of ``z_poly_log``: the polynomial in z^2 whose log is
+    sum_m ell[m] h^(2m)/(2m)! up to ``order`` (ell[0] = 0).
+    DomainError, as in ``series_to_z_poly``, when it has z-degree above
+    ``max_z_degree``."""
+    scales, lam = _power_scales(ell)
+    b = _z_from_exp_form(_even_exp(lam, scales), scales)
+    return _z_poly_of_degree(b, max_z_degree, order)
 
 
 def series_to_z_poly(g: HSeries, max_z_degree: int) -> ZPoly:

@@ -25,9 +25,9 @@ output). Three identities make the translation integer arithmetic:
   the exponential-form log of nabla(z(h)).
 - **z <-> h is the central factorial triangle**, and
 - **logs and exps run in exponential form** on scaled integers; both are
-  described in ``hseries``. The inverse takes
-  g = exp(-2 sum (a_2n / r^(2n) - nu_2n) h^(2n)) and reads its polynomial in
-  z^2 off the first-kind triangle.
+  described in ``hseries``, whose ``z_poly_log`` and ``z_poly_exp`` do
+  both. The inverse takes g = exp(-2 sum (a_2n / r^(2n) - nu_2n) h^(2n))
+  and reads its polynomial in z^2 off the first-kind triangle.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import Sequence
 
 from . import _terms
@@ -45,14 +45,10 @@ from .hseries import (
     DEFAULT_ORDER,
     MAX_ORDER,
     HSeries,
-    _even_exp,
-    _even_log,
-    _exp_form_from_z,
-    _power_scales,
-    _z_from_exp_form,
-    _z_poly_of_degree,
     c_series,
     substitute_exp,
+    z_poly_exp,
+    z_poly_log,
 )
 from .laurent import ZPoly
 from .seifert import SeifertMatrix
@@ -87,27 +83,14 @@ def _unknot(top: int) -> tuple[Fraction, ...]:
 def _knot_wheels(b: Sequence[Fraction], order: int, r: int) -> WheelSeries:
     """r^(2n) (nu_2n - l_2n / (2 (2n)!)) for 2n <= order, where
     nabla = sum b_k z^(2k) with b_0 = 1 and l is the exponential-form log of
-    nabla(z(h)). With d the common denominator of the b_k, the
-    exponential-form coefficients times d^m are integers."""
+    nabla(z(h))."""
     top = order // 2
-    b = b[: top + 1]
-    d = lcm(*(c.denominator for c in b))
-    scales = [d ** m for m in range(top + 1)]
-    scaled = _exp_form_from_z(
-        [c.numerator * (d // c.denominator) * factorial(2 * k) for k, c in enumerate(b)], top
-    )
-    # d F_2m -> d^m F_2m
-    f = [1] + [x * s // d for x, s in zip(scaled[1:], scales[1:])]
-    lam = _even_log(f, scales)
+    ell = z_poly_log(b, top)
     nu = _unknot(top)
-    out = {}
-    for m in range(1, top + 1):
-        den = 2 * factorial(2 * m) * scales[m]
-        out[2 * m] = Fraction(
-            (nu[m].numerator * den - lam[m] * nu[m].denominator) * r ** (2 * m),
-            nu[m].denominator * den,
-        )
-    return WheelSeries(out)
+    return WheelSeries({
+        2 * m: r ** (2 * m) * (nu[m] - ell[m] / (2 * factorial(2 * m)))
+        for m in range(1, top + 1)
+    })
 
 
 def mmr_series(
@@ -198,16 +181,6 @@ def nabla_from_lmo_wheel_data(data: LmoWheelData, max_z_degree: int) -> ZPoly:
     top = data.order // 2
     nu = _unknot(top)
     r2 = data.h1_order ** 2
-    # l_2m = -2 (a_2m / r^(2m) - nu_2m) (2m)!, one Fraction per index
-    ell = [Fraction(0)]
-    for m in range(1, top + 1):
-        a = data.knot_wheels.coefficient(2 * m)
-        rm = r2 ** m
-        ell.append(Fraction(
-            -2 * factorial(2 * m)
-            * (a.numerator * nu[m].denominator - nu[m].numerator * a.denominator * rm),
-            a.denominator * nu[m].denominator * rm,
-        ))
-    scales, lam = _power_scales(ell)
-    b = _z_from_exp_form(_even_exp(lam, scales), scales)
-    return _z_poly_of_degree(b, max_z_degree, data.order)
+    ell = [-2 * factorial(2 * m) * (data.knot_wheels.coefficient(2 * m) / r2 ** m - nu[m])
+           for m in range(top + 1)]
+    return z_poly_exp(ell, max_z_degree, data.order)

@@ -17,7 +17,15 @@ from oracles import (
 )
 from nabla_lmo.cli import main
 from nabla_lmo.errors import DomainError
-from nabla_lmo.hseries import HSeries, _cf_first_kind, _cf_second_kind, series_to_z_poly
+from nabla_lmo.hseries import (
+    HSeries,
+    _cf_first_kind,
+    _cf_second_kind,
+    series_to_z_poly,
+    z_poly_exp,
+    z_poly_log,
+    z_squared_series,
+)
 from nabla_lmo.laurent import ZPoly
 from nabla_lmo.mmr import LmoWheelData, lmo_wheel_data, nabla_from_lmo_wheel_data, nu_wheels
 from nabla_lmo.wheels import WheelSeries
@@ -108,6 +116,23 @@ def test_rejection_texts():
             f"series is not a polynomial in z^2 of z-degree <= {k} at order 64"
         )
     assert nabla_from_lmo_wheel_data(data, 4) == ZPoly(0, (1, 0, Fraction(-2, 3)))
+
+
+def test_z_poly_log_and_exp_are_inverse():
+    order = 20
+    b = [Fraction(1), Fraction(3, 2), Fraction(-5, 7), 0, Fraction(1, 3)]
+    g, power = HSeries.one(order), HSeries.one(order)
+    for c in b[1:]:
+        power = power * z_squared_series(order)
+        g = g + power * c
+    ell = z_poly_log(b, order // 2)
+    assert ell == [g.log().coeff(2 * m) * factorial(2 * m) for m in range(order // 2 + 1)]
+    assert z_poly_exp(ell, 8, order) == ZPoly(0, b)
+    with pytest.raises(DomainError, match="z-degree <= 6 at order 20"):
+        z_poly_exp(ell, 6, order)
+    # unrelated denominators in the log: the per-index scales
+    ell = [Fraction(0)] + [Fraction(m, 2 * m + 1) for m in range(1, order // 2 + 1)]
+    assert z_poly_log(z_poly_exp(ell, order, order).coeffs, order // 2) == ell
 
 
 def test_series_to_z_poly_matches_peeling():
