@@ -132,11 +132,21 @@ def _wheel_data_text(data, as_json: bool) -> str:
     )
 
 
+def _refuse_flags(mode: str, flags: dict) -> None:
+    """ParseError for the first of ``flags`` (name to parsed value) that was
+    given although ``mode`` does not use it."""
+    for flag, value in flags.items():
+        if value is not None and value is not False:
+            raise ParseError(f"{flag} does not apply with {mode}")
+
+
 def _cmd_lmo(args) -> str:
     if args.invert is not None:
+        _refuse_flags("--invert", {"--tor": args.tor, "--order": args.order, "--json": args.json})
         data = read_lmo_file(args.invert)
         max_z = args.max_z_degree if args.max_z_degree is not None else data.order
         return str(nabla_from_lmo_wheel_data(data, max_z))
+    _refuse_flags("--nabla", {"--max-z-degree": args.max_z_degree})
     if args.tor is None:
         raise ParseError("--tor is required with --nabla")
     p = parse_z_poly(args.nabla)

@@ -4,10 +4,9 @@ polynomials in z^2.
 
 A series carries its own truncation order D and stores the dense coefficient
 vector c_0..c_D; arithmetic never claims precision beyond D, and mixed-order
-operations truncate to the smaller order. Everything is exact Fraction
-arithmetic.
-
-The change of variables runs on integers, through two identities:
+operations truncate to the smaller order. ``HSeries`` has the ring
+operations only, in exact Fraction arithmetic; logs, exps and the
+normalization series run on integers, through three identities:
 
 - **Central factorial numbers.** In exponential form (coefficients of
   h^n / n!), (z^2)^k = (2k)! * sum_m T(2m,2k) h^(2m) / (2m)!, where T is the
@@ -22,10 +21,14 @@ The change of variables runs on integers, through two identities:
   F_n = sum_(1<=k<=n) C(n-1,k-1) l_k F_(n-k), which solves for l_n (log) or
   for F_n (exp) with integer binomials only. Scaling index 2m by S_m, with
   S_j S_(m-j) | S_m (``_power_scales``), keeps the recurrence in Python
-  ints.
+  ints. ``exp_form_log`` and ``exp_form_exp`` are the package's only log
+  and exp of series.
+- **c(h) is Bernoulli.** h / (2 sinh(h/2)) = sum (2 - 4^n) B_2n h^(2n) /
+  (4^n (2n)!), and ``even_bernoulli`` gets the B_2n from the tangent numbers
+  (Brent-Harvey, arXiv:1108.0286), so ``c_series`` is a closed form.
 
-``z_poly_log`` and ``z_poly_exp`` put the two together: a polynomial in z^2
-to the exponential-form log of its series in h, and back.
+``z_poly_log`` and ``z_poly_exp`` put the first two together: a polynomial
+in z^2 to the exponential-form log of its series in h, and back.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ DEFAULT_ORDER = 16
 #: Largest truncation order the command line and the wheel data reader
 #: accept, and so the largest z exponent an expression may carry (a z-degree
 #: above the order is rejected anyway). On a 2-vCPU Xeon host with Python
-#: 3.11, ``lmo_wheel_data`` and ``nabla_from_lmo_wheel_data`` take 0.02-0.05 s
-#: at order 256 (integer tables, first call included). ``mmr`` and
-#: ``wheels --from-series`` still multiply and take logs of Fraction series,
-#: which grows like order^2.5: ``mmr`` on the trefoil takes 0.4 s at 256.
+#: 3.11, at order 256 and first call included: ``lmo_wheel_data`` and
+#: ``nabla_from_lmo_wheel_data`` take 0.02-0.05 s, ``wheels_from_series``
+#: 0.02 s on a degree-8 series and 0.1 s on a dense one with unrelated
+#: denominators, and ``mmr_series`` on the trefoil 0.17 s, most of it the
+#: one Fraction product c(h) * nabla(e^(h/2)).
 MAX_ORDER = 256
 
 
@@ -162,51 +166,6 @@ class HSeries:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "HSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self._c[0] == 0:
-            raise DomainError("series with zero constant term has no reciprocal")
-        d = self._order
-        inv0 = 1 / self._c[0]
-        out = [Fraction(0)] * (d + 1)
-        out[0] = inv0
-        for m in range(1, d + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if self._c[k] != 0:
-                    acc += self._c[k] * out[m - k]
-            out[m] = -inv0 * acc
-        return HSeries(out, d)
-
-    def exp(self) -> "HSeries":
-        """Exponential; requires a zero constant term."""
-        if self._c[0] != 0:
-            raise DomainError("exp needs a zero constant term")
-        d = self._order
-        out = [Fraction(0)] * (d + 1)
-        out[0] = Fraction(1)
-        for m in range(1, d + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if self._c[k] != 0:
-                    acc += k * self._c[k] * out[m - k]
-            out[m] = acc / m
-        return HSeries(out, d)
-
-    def log(self) -> "HSeries":
-        """Logarithm; requires constant term 1."""
-        if self._c[0] != 1:
-            raise DomainError("log needs constant term 1")
-        d = self._order
-        out = [Fraction(0)] * (d + 1)
-        for m in range(1, d + 1):
-            acc = Fraction(0)
-            for k in range(1, m):
-                if out[k] != 0 and self._c[m - k] != 0:
-                    acc += k * out[k] * self._c[m - k]
-            out[m] = self._c[m] - acc / m
-        return HSeries(out, d)
-
     def scale_variable(self, r: Scalar) -> "HSeries":
         """Substitute h -> r*h."""
         r = Fraction(r)
@@ -234,36 +193,55 @@ def _coerce(value, order: int) -> HSeries | None:
     return None
 
 
-def _z_over_h_series(order: int) -> HSeries:
-    """The series of (e^(h/2) - e^(-h/2)) / h = sum_k h^(2k) / (4^k (2k+1)!)."""
-    cs = [Fraction(0)] * (order + 1)
-    for m in range(0, order + 1, 2):
-        cs[m] = Fraction(1, 4 ** (m // 2) * factorial(m + 1))
-    return HSeries(cs, order)
+def _tangent_numbers(count: int) -> list[int]:
+    """T_1..T_count with tan x = sum T_n x^(2n-1) / (2n-1)! (index 0 holds 0),
+    by the in-place integer recurrence of Brent and Harvey."""
+    t = [0] * (count + 1)
+    if count >= 1:
+        t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def even_bernoulli(top: int) -> tuple[Fraction, ...]:
+    """B_0, B_2, ..., B_(2 top) from the tangent numbers:
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))."""
+    t = _tangent_numbers(top)
+    return (Fraction(1),) + tuple(
+        Fraction(2 * n * (t[n] if n % 2 else -t[n]), 4 ** n * (4 ** n - 1))
+        for n in range(1, top + 1)
+    )
 
 
 def c_series(order: int = DEFAULT_ORDER) -> HSeries:
-    """The series of h / (e^(h/2) - e^(-h/2)): the reciprocal of the
-    closed-form even series above, 1 - h^2/24 + 7h^4/5760 - ...
+    """The series of h / (e^(h/2) - e^(-h/2)) in closed form,
+    sum_(m even) (2 - 2^m) B_m h^m / (2^m m!) = 1 - h^2/24 + 7h^4/5760 - ...
     """
-    return _z_over_h_series(order).reciprocal()
-
-
-def exp_series(a: Fraction, order: int) -> HSeries:
-    """The series of e^(a*h)."""
-    a = Fraction(a)
-    return HSeries([a ** m / factorial(m) for m in range(order + 1)], order)
+    b = even_bernoulli(order // 2)
+    return HSeries(
+        [0 if m % 2 else (2 - 2 ** m) * b[m // 2] / (2 ** m * factorial(m))
+         for m in range(order + 1)],
+        order,
+    )
 
 
 def substitute_exp(p: HalfLaurent, order: int = DEFAULT_ORDER) -> HSeries:
-    """Substitute t^(1/2) = e^(h/2) into a Laurent polynomial, truncated.
+    """Substitute t^(1/2) = e^(h/2) into a Laurent polynomial, truncated:
+    [h^m] = sum_k c_k (k/2)^m / m! over the terms c_k t^(k/2).
 
     This is a ring homomorphism up to the truncation order.
     """
-    out = HSeries.zero(order)
-    for k, c in p.items():
-        out = out + exp_series(Fraction(k, 2), order) * c
-    return out
+    terms = [(Fraction(k, 2), c) for k, c in p.items()]
+    return HSeries(
+        [sum((c * a ** m for a, c in terms), Fraction(0)) / factorial(m)
+         for m in range(order + 1)],
+        order,
+    )
 
 
 def z_squared_series(order: int = DEFAULT_ORDER) -> HSeries:
@@ -391,11 +369,24 @@ def _z_poly_of_degree(b: Sequence[Fraction], max_z_degree: int, order: int) -> Z
     return ZPoly(0, b[:keep])
 
 
+def exp_form_log(values: Sequence[Fraction]) -> list[Fraction]:
+    """l_0 = 0, l_2, ...: the log of sum_m values[m] h^(2m)/(2m)!
+    (values[0] = 1) as sum_m l_2m h^(2m)/(2m)!, by ``_even_log``."""
+    scales, f = _power_scales(values)
+    return [Fraction(x, s) for x, s in zip(_even_log(f, scales), scales)]
+
+
+def exp_form_exp(ell: Sequence[Fraction]) -> list[Fraction]:
+    """Inverse of ``exp_form_log``: F_0 = 1, F_2, ... with
+    sum_m F_2m h^(2m)/(2m)! = exp(sum_m ell[m] h^(2m)/(2m)!) (ell[0] = 0)."""
+    scales, lam = _power_scales(ell)
+    return [Fraction(x, s) for x, s in zip(_even_exp(lam, scales), scales)]
+
+
 def z_poly_log(b: Sequence[Scalar], top: int) -> list[Fraction]:
     """l_0 = 0, l_2, ..., l_(2 top): the logarithm of sum_k b_k z^(2k)
     (b_0 = 1) as the series sum_m l_2m h^(2m)/(2m)! in h."""
-    scales, f = _power_scales(_exp_form_from_z(b, top))
-    return [Fraction(x, s) for x, s in zip(_even_log(f, scales), scales)]
+    return exp_form_log(_exp_form_from_z(b, top))
 
 
 def z_poly_exp(ell: Sequence[Fraction], max_z_degree: int, order: int) -> ZPoly:

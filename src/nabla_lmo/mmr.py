@@ -11,18 +11,20 @@ manifold obtained by 0-surgery inside a rational homology sphere with
 data by r^(2n). Both directions of this translation are implemented; the
 inverse direction recognizes the wheel data of a polynomial and recovers it.
 
-``lmo_wheel_data``, its inverse and ``aarhus_wheels`` build neither c(h)
-nor a Fraction series (``mmr_series`` still does, since the series is its
-output). Three identities make the translation integer arithmetic:
+``lmo_wheel_data``, its inverse and ``aarhus_wheels`` build no Fraction
+series; ``mmr_series``, whose output is the series, multiplies the
+closed-form c(h) of ``hseries`` into nabla(e^(h/2)). Three identities make
+the translation integer arithmetic:
 
 - **The unknot is Bernoulli.** The wheels of c(h) alone (the unknot
   normalization, a pure function of the truncation order) are
   nu_2n = B_2n / (4n (2n)!), the modified Bernoulli numbers of
   Bar-Natan-Garoufalidis-Rozansky-Thurston ("Wheels, wheeling, and the
-  Kontsevich integral of the unknot", 2000). B_2n comes from the tangent
-  numbers (Brent-Harvey, arXiv:1108.0286). Since the log of a product is a
-  sum of logs, knot wheels are r^(2n) (nu_2n - l_2n / (2 (2n)!)), where l is
-  the exponential-form log of nabla(z(h)).
+  Kontsevich integral of the unknot", 2000), with B_2n from
+  ``hseries.even_bernoulli``. Since the log of a product is a sum of logs,
+  knot wheels are r^(2n) (nu_2n - l_2n / (2 (2n)!)), where l is the
+  exponential-form log of nabla(z(h)) and the factor is
+  ``wheels.wheels_of_log``.
 - **z <-> h is the central factorial triangle**, and
 - **logs and exps run in exponential form** on scaled integers; both are
   described in ``hseries``, whose ``z_poly_log`` and ``z_poly_exp`` do
@@ -46,51 +48,33 @@ from .hseries import (
     MAX_ORDER,
     HSeries,
     c_series,
+    even_bernoulli,
     substitute_exp,
     z_poly_exp,
     z_poly_log,
 )
 from .laurent import ZPoly
 from .seifert import SeifertMatrix
-from .wheels import WheelSeries
-
-
-def _tangent_numbers(count: int) -> list[int]:
-    """T_1..T_count with tan x = sum T_n x^(2n-1) / (2n-1)! (index 0 holds 0),
-    by the in-place integer recurrence of Brent and Harvey."""
-    t = [0] * (count + 1)
-    if count >= 1:
-        t[1] = 1
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
+from .wheels import WheelSeries, log_of_wheels, wheels_of_log
 
 
 @lru_cache(maxsize=MAX_ORDER + 1)
 def _unknot(top: int) -> tuple[Fraction, ...]:
-    """nu_0 = 0, nu_2, ..., nu_(2 top): nu_2n = B_2n / (4n (2n)!) with
-    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))."""
-    t = _tangent_numbers(top)
+    """nu_0 = 0, nu_2, ..., nu_(2 top): nu_2n = B_2n / (4n (2n)!)."""
+    b = even_bernoulli(top)
     return (Fraction(0),) + tuple(
-        Fraction(t[n] if n % 2 else -t[n], 2 * 4 ** n * (4 ** n - 1) * factorial(2 * n))
-        for n in range(1, top + 1)
+        b[n] / (4 * n * factorial(2 * n)) for n in range(1, top + 1)
     )
 
 
 def _knot_wheels(b: Sequence[Fraction], order: int, r: int) -> WheelSeries:
-    """r^(2n) (nu_2n - l_2n / (2 (2n)!)) for 2n <= order, where
-    nabla = sum b_k z^(2k) with b_0 = 1 and l is the exponential-form log of
+    """r^(2n) (nu_2n + a_2n) for 2n <= order, where nabla = sum b_k z^(2k)
+    with b_0 = 1 and a_2n is the wheel of the exponential-form log of
     nabla(z(h))."""
     top = order // 2
-    ell = z_poly_log(b, top)
+    a = wheels_of_log(z_poly_log(b, top))
     nu = _unknot(top)
-    return WheelSeries({
-        2 * m: r ** (2 * m) * (nu[m] - ell[m] / (2 * factorial(2 * m)))
-        for m in range(1, top + 1)
-    })
+    return WheelSeries({2 * m: r ** (2 * m) * (nu[m] + a[m]) for m in range(1, top + 1)})
 
 
 def mmr_series(
@@ -181,6 +165,5 @@ def nabla_from_lmo_wheel_data(data: LmoWheelData, max_z_degree: int) -> ZPoly:
     top = data.order // 2
     nu = _unknot(top)
     r2 = data.h1_order ** 2
-    ell = [-2 * factorial(2 * m) * (data.knot_wheels.coefficient(2 * m) / r2 ** m - nu[m])
-           for m in range(top + 1)]
-    return z_poly_exp(ell, max_z_degree, data.order)
+    a = [data.knot_wheels.coefficient(2 * m) / r2 ** m - nu[m] for m in range(top + 1)]
+    return z_poly_exp(log_of_wheels(a), max_z_degree, data.order)

@@ -10,11 +10,12 @@ wheels, truncated by total degree (the sum of wheel sizes).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from math import factorial
+from typing import Mapping, Sequence, Union
 
 from . import _terms
 from .errors import DomainError
-from .hseries import HSeries
+from .hseries import HSeries, exp_form_exp, exp_form_log
 
 Scalar = Union[int, Fraction]
 WheelTerm = tuple[int, ...]
@@ -202,18 +203,30 @@ def wheel_log(u: WheelPolynomial, order: int) -> WheelPolynomial:
     return result
 
 
+def wheels_of_log(ell: Sequence[Fraction]) -> list[Fraction]:
+    """a_2m = -ell[m] / (2 (2m)!): the wheel coefficients whose image
+    exp(sum -2 a_2m h^(2m)) has the exponential-form log
+    sum_m ell[m] h^(2m)/(2m)!."""
+    return [-x / (2 * factorial(2 * m)) for m, x in enumerate(ell)]
+
+
+def log_of_wheels(a: Sequence[Fraction]) -> list[Fraction]:
+    """Inverse of ``wheels_of_log``: -2 (2m)! a[m]."""
+    return [-2 * factorial(2 * m) * x for m, x in enumerate(a)]
+
+
 def w_nabla(w: Union[WheelSeries, WheelPolynomial], order: int) -> HSeries:
     """The multiplicative weight system w2n -> -2*h^(2n), as an h-series.
 
-    On a WheelSeries the image is exp(sum a_2n * (-2 h^(2n))); on a
-    WheelPolynomial each monomial maps to the product of its wheel images.
+    On a WheelSeries the image is exp(sum a_2n * (-2 h^(2n))), taken in
+    exponential form; on a WheelPolynomial each monomial maps to the product
+    of its wheel images.
     """
     if isinstance(w, WheelSeries):
-        cs = [Fraction(0)] * (order + 1)
-        for k, a in w.coefficients.items():
-            if k <= order:
-                cs[k] = -2 * a
-        return HSeries(cs, order).exp()
+        f = exp_form_exp(log_of_wheels([w.coefficient(n) for n in range(0, order + 1, 2)]))
+        return HSeries(
+            [0 if n % 2 else f[n // 2] / factorial(n) for n in range(order + 1)], order
+        )
     if isinstance(w, WheelPolynomial):
         cs = [Fraction(0)] * (order + 1)
         for term, c in w.items():
@@ -228,20 +241,19 @@ def wheels_from_series(f: HSeries) -> WheelSeries:
     """Invert w_nabla on exponentials: a_2n = -(1/2) * [h^(2n)] log f.
 
     DomainError when f has constant term != 1 or log f has odd-order terms
-    (which no wheel series can produce).
+    (which no wheel series can produce). Below the lowest odd term of f,
+    f and log f are even, so that term is also the lowest odd term of log f.
     """
     if f.coeff(0) != 1:
         raise DomainError("series must have constant term 1")
-    lg = f.log()
-    odd = next((m for m in range(1, lg.order + 1, 2) if lg.coeff(m) != 0), None)
+    odd = next((m for m in range(1, f.order + 1, 2) if f.coeff(m) != 0), None)
     if odd is not None:
         raise DomainError(
             f"log of the series has a nonzero term at odd order {odd}; "
             "no even wheel series maps onto it"
         )
-    return WheelSeries(
-        {m: -lg.coeff(m) / 2 for m in range(2, lg.order + 1, 2) if lg.coeff(m) != 0}
-    )
+    ell = exp_form_log([f.coeff(n) * factorial(n) for n in range(0, f.order + 1, 2)])
+    return WheelSeries({2 * m: a for m, a in enumerate(wheels_of_log(ell)) if m})
 
 
 def rescale_degree(w: WheelSeries, r: Scalar) -> WheelSeries:

@@ -3,11 +3,14 @@
 Everything here is deliberately written by a different route than the
 package code: cofactor expansion instead of fraction-free elimination,
 explicit row elimination instead of the Schur formula, direct series
-manipulation on plain coefficient lists instead of HSeries methods, every
-permutation of legs instead of distinct gluings, every exponent vector
-instead of one walk per strut monomial, and the Fraction-series wheel
-translation (c(h) times nabla(e^(h/2)), HSeries log and exp, peeling powers
-of z^2) instead of the integer central factorial and Bernoulli route.
+manipulation on plain coefficient lists instead of HSeries arithmetic,
+every permutation of legs instead of distinct gluings, every exponent
+vector instead of one walk per strut monomial, and the Fraction-series
+wheel translation (c(h) as the reciprocal of 2 sinh(h/2) / h, times
+nabla(e^(h/2)), O(D^2) Fraction log and exp recurrences on coefficient
+lists, peeling powers of z^2) instead of the integer central factorial,
+exponential-form and Bernoulli route. No oracle calls the package's
+c_series, wheels_from_series or w_nabla.
 """
 
 from fractions import Fraction
@@ -16,9 +19,9 @@ from math import factorial, floor
 
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
-from nabla_lmo.hseries import HSeries, c_series, substitute_exp, z_squared_series
+from nabla_lmo.hseries import HSeries, substitute_exp, z_squared_series
 from nabla_lmo.laurent import ZPoly
-from nabla_lmo.wheels import rescale_degree, w_nabla, wheels_from_series
+from nabla_lmo.wheels import WheelSeries, rescale_degree
 
 
 def det_cofactor(rows):
@@ -121,6 +124,66 @@ def log_coeffs(a, order):
         for m in range(order + 1):
             out[m] += sign * power[m] / k
     return out
+
+
+def log_recurrence(a):
+    """log of a coefficient list with a_0 = 1 by the recurrence
+    m l_m = m a_m - sum_(0<k<m) k l_k a_(m-k), in Fractions."""
+    if a[0] != 1:
+        raise DomainError("log needs constant term 1")
+    out = [Fraction(0)] * len(a)
+    for m in range(1, len(a)):
+        acc = Fraction(0)
+        for k in range(1, m):
+            if out[k] != 0 and a[m - k] != 0:
+                acc += k * out[k] * a[m - k]
+        out[m] = a[m] - acc / m
+    return out
+
+
+def exp_recurrence(a):
+    """exp of a coefficient list with a_0 = 0 by the recurrence
+    m e_m = sum_(0<k<=m) k a_k e_(m-k), in Fractions."""
+    if a[0] != 0:
+        raise DomainError("exp needs a zero constant term")
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for m in range(1, len(a)):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if a[k] != 0:
+                acc += k * a[k] * out[m - k]
+        out[m] = acc / m
+    return out
+
+
+def c_coeffs(order):
+    """c(h) = h / (2 sinh(h/2)) as the reciprocal of its closed-form inverse."""
+    return invert_coeffs(sinh_ratio_coeffs(order))
+
+
+def wheels_by_log(f):
+    """``wheels_from_series`` by the Fraction log of f's coefficients:
+    a_n = -l_n / 2, with the same checks and error texts."""
+    if f[0] != 1:
+        raise DomainError("series must have constant term 1")
+    logs = log_recurrence(f)
+    odd = next((m for m in range(1, len(logs), 2) if logs[m] != 0), None)
+    if odd is not None:
+        raise DomainError(
+            f"log of the series has a nonzero term at odd order {odd}; "
+            "no even wheel series maps onto it"
+        )
+    return WheelSeries({m: -logs[m] / 2 for m in range(2, len(logs), 2)})
+
+
+def w_nabla_by_exp(w, order):
+    """``w_nabla`` on a WheelSeries by the Fraction exp of
+    sum -2 a_n h^n, as a coefficient list."""
+    cs = [Fraction(0)] * (order + 1)
+    for n, a in w.coefficients.items():
+        if n <= order:
+            cs[n] = -2 * a
+    return exp_recurrence(cs)
 
 
 def cosh_minus_coeffs(order):
@@ -251,14 +314,14 @@ def exp_linear_by_exponents(entries, bound):
 
 def nu_wheels_by_series(order):
     """The unknot normalization as the wheels of c(h): a reciprocal and a log."""
-    return wheels_from_series(c_series(order))
+    return wheels_by_log(c_coeffs(order))
 
 
 def lmo_knot_wheels_by_series(nabla_m, tor_order, order):
     """Knot wheels of ``lmo_wheel_data`` the long way: the log of
     c(h) * nabla(e^(h/2)) as a Fraction series, rescaled by r^(2n)."""
-    f = c_series(order) * substitute_exp(nabla_m.expand(), order)
-    return rescale_degree(wheels_from_series(f), tor_order)
+    f = mul_coeffs(c_coeffs(order), substitute_exp(nabla_m.expand(), order).coeffs, order)
+    return rescale_degree(wheels_by_log(f), tor_order)
 
 
 def z_poly_by_peeling(g, max_z_degree):
@@ -290,5 +353,5 @@ def nabla_from_wheel_data_by_series(data, max_z_degree):
     """Inverse of the above: undo the rescaling, apply the weight system as a
     Fraction exp, multiply by (e^(h/2) - e^(-h/2))/h, and peel."""
     w = rescale_degree(data.knot_wheels, Fraction(1, data.h1_order))
-    g = w_nabla(w, data.order) * HSeries(sinh_ratio_coeffs(data.order), data.order)
-    return z_poly_by_peeling(g, max_z_degree)
+    g = mul_coeffs(w_nabla_by_exp(w, data.order), sinh_ratio_coeffs(data.order), data.order)
+    return z_poly_by_peeling(HSeries(g, data.order), max_z_degree)

@@ -191,8 +191,8 @@ def test_roundtrip_command(capsys):
 
 
 def test_wheel_translation_builds_no_series(capsys, monkeypatch, tmp_path, trefoil_file):
-    """lmo, its inverse, roundtrip and the knot wheels run on integer tables:
-    no c(h), no series reciprocal, exp or log."""
+    """lmo, its inverse, roundtrip, the knot wheels and the wheels of a
+    series run on integer tables: no c(h) and no product of series."""
     wheel_file = tmp_path / "wheels.json"
     commands = (
         ("lmo", "--nabla", "1 + z^2", "--tor", "1", "--order", "4"),
@@ -202,6 +202,7 @@ def test_wheel_translation_builds_no_series(capsys, monkeypatch, tmp_path, trefo
         ("lmo", "--invert", str(wheel_file), "--max-z-degree", "0"),
         ("roundtrip", "--nabla", "1 - 3*z^2 + 1/2*z^4", "--tor", "7", "--order", "64"),
         ("wheels", "--from-seifert", trefoil_file, "--order", "6"),
+        ("wheels", "--from-series", "1 - 1/3*h^2 + 5/2*h^4 - 7/6*h^8", "--order", "128"),
     )
     wheel_file.write_text(run(capsys, *commands[2])[1])
     expected = [run(capsys, *argv) for argv in commands]
@@ -211,12 +212,12 @@ def test_wheel_translation_builds_no_series(capsys, monkeypatch, tmp_path, trefo
         1, "", "error: series is not a polynomial in z^2 of z-degree <= 0 at order 6\n"
     )
     assert expected[6][1] == "exp( -23/48 w2 + 1199/5760 w4 - 45863/362880 w6 )\n"
+    assert expected[7][1].startswith("exp( 1/6 w2 - 11/9 w4 ") and expected[7][0] == 0
 
     def no_series(*args):
         raise AssertionError("a Fraction series was built")
 
-    for name in ("log", "exp", "reciprocal"):
-        monkeypatch.setattr(HSeries, name, no_series)
+    monkeypatch.setattr(HSeries, "__mul__", no_series)
     for name in ("hseries.c_series", "mmr.c_series"):
         monkeypatch.setattr(f"nabla_lmo.{name}", no_series)
     assert [run(capsys, *argv) for argv in commands] == expected
@@ -248,6 +249,24 @@ def test_exit_codes(capsys, tmp_path):
 
     rc, _, err = run(capsys, "lmo", "--nabla", "1 + z^2")
     assert rc == 2  # --tor is required with --nabla
+
+    # flags the chosen direction does not use are refused, not ignored
+    wheel_file = tmp_path / "wheels.json"
+    wheel_file.write_text(run(capsys, "lmo", "--nabla", "1 + z^2", "--tor", "1", "--json")[1])
+    for extra, flag in (
+        (("--tor", "5"), "--tor"),
+        (("--tor", "0"), "--tor"),
+        (("--order", "8"), "--order"),
+        (("--json",), "--json"),
+        (("--max-z-degree", "2", "--json"), "--json"),
+    ):
+        assert run(capsys, "lmo", "--invert", str(wheel_file), *extra) == (
+            2, "", f"error: {flag} does not apply with --invert\n"
+        )
+    for extra in (("--max-z-degree", "3"), ("--max-z-degree", "0", "--json")):
+        assert run(capsys, "lmo", "--nabla", "1 + z^2", "--tor", "1", *extra) == (
+            2, "", "error: --max-z-degree does not apply with --nabla\n"
+        )
 
     rc, _, err = run(capsys, "roundtrip", "--nabla", "1", "--tor", "1", "--order", "-3")
     assert rc == 2
@@ -357,7 +376,8 @@ def test_order_and_exponent_limits(capsys, monkeypatch, tmp_path, trefoil_file):
 
     for name in (
         "mmr.c_series", "mmr.nu_wheels", "parsing.nu_wheels", "mmr._unknot",
-        "mmr._tangent_numbers", "hseries._cf_second_kind", "hseries._cf_first_kind",
+        "hseries._tangent_numbers", "hseries.even_bernoulli", "mmr.even_bernoulli",
+        "hseries._cf_second_kind", "hseries._cf_first_kind",
     ):
         monkeypatch.setattr(f"nabla_lmo.{name}", no_series)
     too_big = str(MAX_ORDER + 1)

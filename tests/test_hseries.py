@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cosh_minus_coeffs, invert_coeffs, sinh_ratio_coeffs
+from oracles import (
+    c_coeffs,
+    cosh_minus_coeffs,
+    exp_recurrence,
+    invert_coeffs,
+    log_recurrence,
+)
 from nabla_lmo.errors import DomainError
 from nabla_lmo.hseries import (
     HSeries,
@@ -37,29 +43,30 @@ def test_mixed_order_arithmetic_truncates_to_minimum():
 
 
 def test_reciprocal_geometric():
-    f = HSeries([1, 1], order=3)  # 1 + h at order 3
-    assert f.reciprocal() == HSeries([1, -1, 1, -1])
-    assert (f * f.reciprocal()) == HSeries.one(3)
-    with pytest.raises(DomainError):
-        HSeries([0, 1]).reciprocal()
+    inverse = invert_coeffs([Fraction(1), Fraction(1), 0, 0])  # 1 + h at order 3
+    assert inverse == [1, -1, 1, -1]
+    assert HSeries([1, 1], order=3) * HSeries(inverse) == HSeries.one(3)
+    with pytest.raises(ZeroDivisionError):
+        invert_coeffs([0, 1])
 
 
 def test_exp_log_inverse_pair():
-    f = h(2, 1, 6)
-    assert f.exp().log() == f
-    g = HSeries([1, Fraction(1, 2), Fraction(-1, 3), 0, 1], order=4)
-    assert g.log().exp() == g
-    assert (h(1, 1, 5).exp() * h(1, -1, 5).exp()) == HSeries.one(5)
+    f = [0, 0, 1, 0, 0, 0, 0]
+    assert log_recurrence(exp_recurrence(f)) == f
+    g = [1, Fraction(1, 2), Fraction(-1, 3), 0, 1]
+    assert exp_recurrence(log_recurrence(g)) == g
+    e, e_inv = exp_recurrence([0, 1, 0, 0, 0, 0]), exp_recurrence([0, -1, 0, 0, 0, 0])
+    assert HSeries(e) * HSeries(e_inv) == HSeries.one(5)
     with pytest.raises(DomainError):
-        HSeries([1, 1]).exp()
+        exp_recurrence([1, 1])
     with pytest.raises(DomainError):
-        HSeries([0, 1]).log()
+        log_recurrence([0, 1])
 
 
 def test_exp_against_factorials():
-    e = h(1, 1, 5).exp()
+    e = exp_recurrence([0, 1, 0, 0, 0, 0])
     for m in range(6):
-        assert e.coeff(m) == Fraction(1, [1, 1, 2, 6, 24, 120][m])
+        assert e[m] == Fraction(1, [1, 1, 2, 6, 24, 120][m])
 
 
 def test_c_series_frozen_values():
@@ -71,9 +78,10 @@ def test_c_series_frozen_values():
 
 
 def test_c_series_matches_inversion_oracle():
-    order = 16
-    expected = invert_coeffs(sinh_ratio_coeffs(order))
-    assert c_series(order).coeffs == tuple(expected)
+    for order in (0, 1, 2, 7, 16, 33, 64, 128, 256):
+        assert c_series(order).coeffs == tuple(c_coeffs(order)), order
+    with pytest.raises(DomainError):
+        c_series(-1)
 
 
 def test_substitute_exp_examples():

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     lmo_knot_wheels_by_series,
+    log_recurrence,
     nabla_from_wheel_data_by_series,
     nu_wheels_by_series,
     z_poly_by_peeling,
@@ -126,7 +127,8 @@ def test_z_poly_log_and_exp_are_inverse():
         power = power * z_squared_series(order)
         g = g + power * c
     ell = z_poly_log(b, order // 2)
-    assert ell == [g.log().coeff(2 * m) * factorial(2 * m) for m in range(order // 2 + 1)]
+    logs = log_recurrence(g.coeffs)
+    assert ell == [logs[2 * m] * factorial(2 * m) for m in range(order // 2 + 1)]
     assert z_poly_exp(ell, 8, order) == ZPoly(0, b)
     with pytest.raises(DomainError, match="z-degree <= 6 at order 20"):
         z_poly_exp(ell, 6, order)

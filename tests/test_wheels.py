@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from oracles import invert_coeffs, log_coeffs, sinh_ratio_coeffs
+from oracles import (
+    c_coeffs,
+    exp_recurrence,
+    log_coeffs,
+    log_recurrence,
+    w_nabla_by_exp,
+    wheels_by_log,
+)
 from nabla_lmo.errors import DomainError
 from nabla_lmo.hseries import HSeries, c_series
 from nabla_lmo.wheels import (
@@ -82,6 +90,19 @@ def test_wheel_exp_log_inverse():
         wheel_log(WheelPolynomial.zero(), 4)
 
 
+#: Orders at which the integer routes are checked against the Fraction oracles.
+ORDERS = (0, 1, 2, 7, 16, 33, 64, 128, 256)
+
+
+def single_wheel_image(a, order):
+    """exp(-2a h^2) = sum_k (-2a)^k h^(2k) / k!, in closed form."""
+    return HSeries(
+        [0 if m % 2 else Fraction(-2 * a) ** (m // 2) / factorial(m // 2)
+         for m in range(order + 1)],
+        order,
+    )
+
+
 def test_w_nabla_on_single_wheel():
     w2 = WheelPolynomial.wheel(2)
     assert w_nabla(w2, 4) == HSeries.monomial(2, -2, 4)
@@ -91,7 +112,7 @@ def test_w_nabla_on_single_wheel():
 def test_w_nabla_exponential_compatibility():
     a = Fraction(2, 7)
     series_side = w_nabla(WheelSeries({2: a}), 8)
-    assert series_side == HSeries.monomial(2, -2 * a, 8).exp()
+    assert series_side == single_wheel_image(a, 8)
     poly_side = w_nabla(wheel_exp(WheelPolynomial.wheel(2, a), 8), 8)
     assert poly_side == series_side
 
@@ -102,7 +123,7 @@ def test_w_nabla_empty_series():
 
 def test_wheels_from_series_examples():
     assert wheels_from_series(HSeries.one(8)).is_trivial
-    f = HSeries.monomial(2, -2, 8).exp()
+    f = single_wheel_image(1, 8)
     assert wheels_from_series(f) == WheelSeries({2: 1})
     nu = wheels_from_series(c_series(16))
     assert nu.coefficient(2) == Fraction(1, 48)
@@ -112,14 +133,55 @@ def test_wheels_from_series_examples():
 
 def test_nu_wheels_against_log_oracle():
     order = 16
-    c = invert_coeffs(sinh_ratio_coeffs(order))
-    logs = log_coeffs(c, order)
+    logs = log_coeffs(c_coeffs(order), order)
     assert logs[2] == Fraction(-1, 24)
     assert logs[4] == Fraction(1, 2880)
     assert logs[6] == Fraction(-1, 181440)
     nu = wheels_from_series(c_series(order))
     for n in range(2, order + 1, 2):
         assert nu.coefficient(n) == -logs[n] / 2
+
+
+def _sparse_degree_8(rng, order):
+    """1 plus random terms at h^2..h^8 with small denominators."""
+    cs = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(2, min(order, 8) + 1, 2):
+        cs[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return cs
+
+
+def test_wheels_from_series_and_w_nabla_match_the_oracles():
+    rng = random.Random(73)
+    for order in ORDERS:
+        # exponential-form logs l_2m = m / (2m + 1): unrelated denominators
+        w = WheelSeries({2 * m: Fraction(-m, 2 * (2 * m + 1) * factorial(2 * m))
+                         for m in range(1, order // 2 + 1)})
+        image = w_nabla(w, order)
+        assert image.coeffs == tuple(w_nabla_by_exp(w, order)), order
+        assert wheels_from_series(image) == wheels_by_log(image.coeffs) == w
+        f = HSeries(_sparse_degree_8(rng, order), order)
+        wheels = wheels_from_series(f)
+        assert wheels == wheels_by_log(f.coeffs), order
+        assert w_nabla(wheels, order) == f
+        assert w_nabla(WheelSeries({2: 1, 2 * order + 2: 5}), order) == single_wheel_image(1, order)
+
+
+def test_odd_term_index_matches_the_oracle_log():
+    rng = random.Random(79)
+    for order in ORDERS[3:]:
+        for _ in range(3):
+            cs = _sparse_degree_8(rng, order)
+            odd = rng.randrange(1, order + 1, 2)
+            cs[odd] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+            logs = log_recurrence(cs)
+            lowest = next(m for m in range(1, order + 1, 2) if logs[m] != 0)
+            assert lowest == odd
+            with pytest.raises(DomainError) as exc_info:
+                wheels_from_series(HSeries(cs, order))
+            assert str(exc_info.value) == (
+                f"log of the series has a nonzero term at odd order {lowest}; "
+                "no even wheel series maps onto it"
+            )
 
 
 def test_wheels_from_series_rejections():
