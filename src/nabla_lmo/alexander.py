@@ -4,9 +4,9 @@ For a Seifert matrix V of an ℓ-component link, the polynomial is
 det(t^(1/2) V - t^(-1/2) V*), which always lies in z^(ℓ-1) · Q[z^2] for
 z = t^(1/2) - t^(-1/2) and is fixed by t^(1/2) -> -t^(-1/2). For V of size
 n it equals t^(-n/2) det(tV - V*), and det(tV - V*) is a polynomial in t of
-degree at most n, so its values at the n+1 integers t = 0..n fix it. Each
-value is one exact rational determinant (`matrices.det`); Newton
-interpolation turns the values back into coefficients.
+degree at most n, whose coefficients `matrices.det_poly` gives: one exact
+rational determinant at each of the n+1 integers t = 0..n, then Newton
+interpolation.
 """
 
 from __future__ import annotations
@@ -18,25 +18,6 @@ from . import _terms, matrices
 from .errors import DomainError
 from .laurent import HalfLaurent, ZPoly, rewrite_in_z
 from .seifert import SeifertMatrix
-
-
-def _interpolate(values: list[Fraction]) -> list[Fraction]:
-    """Coefficients, lowest first, of the polynomial of degree < len(values)
-    taking values[i] at t = i: Newton divided differences, then the Newton
-    form expanded by Horner's rule."""
-    n = len(values)
-    diffs = list(values)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / k
-    coeffs: list[Fraction] = []
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (t - k) + diffs[k]
-        coeffs = [Fraction(0)] + coeffs
-        for j in range(len(coeffs) - 1):
-            coeffs[j] -= k * coeffs[j + 1]
-        coeffs[0] += diffs[k]
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -77,13 +58,8 @@ def nabla_from_seifert(v: SeifertMatrix, components: int = 1) -> NablaResult:
             f"size {v.size} is impossible for {components} components: "
             "need size = 2*genus + components - 1"
         )
-    e = v.entries
-    n = v.size
-    values = [
-        matrices.det([[t * e[i][j] - e[j][i] for j in range(n)] for i in range(n)])
-        for t in range(n + 1)
-    ]
-    d = HalfLaurent({2 * k - n: c for k, c in enumerate(_interpolate(values))})
+    coeffs = matrices.det_poly(v.entries, matrices.transpose(v.entries))
+    d = HalfLaurent({2 * k - v.size: c for k, c in enumerate(coeffs)})
     try:
         z_form = rewrite_in_z(d, components - 1)
     except DomainError:

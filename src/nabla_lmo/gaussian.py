@@ -36,7 +36,7 @@ from . import _terms, matrices
 from .errors import DomainError
 from .matrices import Matrix
 from .seifert import SeifertMatrix
-from .surgery import FramedLinkMatrix, _surgery_block_inverse, surgery_transform
+from .surgery import FramedLinkMatrix, _integrate_out, surgery_transform
 
 Scalar = Union[int, Fraction]
 Strut = tuple[str, str]
@@ -274,7 +274,10 @@ def right_pairing_factor(m: FramedLinkMatrix, max_degree: int) -> StrutPolynomia
     surgery block; this is the Gaussian weight glued against X' legs."""
     if not m.surgery_labels:
         return StrutPolynomial.one()
-    neg_inv = matrices.scale(_surgery_block_inverse(m), Fraction(-1))
+    # the Schur complement of A in [[A, I], [I, 0]] is -A^-1
+    eye = matrices.identity(len(m.surgery_labels))
+    bordered = [a + e for a, e in zip(m.surgery_block, eye)] + [e + (0,) * len(e) for e in eye]
+    neg_inv = _integrate_out(m, bordered)
     entries = _form_entries([dual_label(x) for x in m.surgery_labels], neg_inv)
     return _exp_linear(entries, Fraction(max_degree))
 

@@ -1,16 +1,17 @@
 """Exact matrices over the rationals, stored as tuples of tuples.
 
-`det`, `rank` and `inverse` share one elimination kernel. It scales each
-row once by the lcm of its denominators and then runs integer fraction-free
-(Bareiss) elimination on plain ints: every intermediate entry is a minor of
-the scaled matrix, so each division is exact and no Fraction is built until
-the answer.
+`det`, `rank`, `schur_complement`, `inverse` and `det_poly` share one
+elimination kernel. It scales each row once by the lcm of its denominators
+and then runs integer fraction-free (Bareiss) elimination on plain ints:
+every intermediate entry is a minor of the scaled matrix, so each division
+is exact and no Fraction is built until the answer. The inverse is a Schur
+complement, and det(t*P - Q) is interpolated from determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -80,50 +81,67 @@ def is_integral(a: Matrix) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 
 
-def _eliminate(rows, width: int, reduce: bool = False) -> tuple[int, Fraction, list[list[int]]]:
+def _eliminate(
+    rows, width: int, pivot_rows: int | None = None
+) -> tuple[int, Fraction, list[list[int]], list[int]]:
     """Bareiss elimination of rational ``rows`` over their first ``width``
-    columns, with row pivoting; columns without a pivot are skipped. With
-    ``reduce`` the rows above each pivot are cleared too (fraction-free
-    Gauss-Jordan), so a nonsingular square block ends as d*I, d the last
-    pivot.
+    columns, with row pivoting; columns without a pivot are skipped. Pivots
+    are taken from the first ``pivot_rows`` rows only (all rows by default),
+    so the rows below are eliminated but never swapped up.
 
-    Returns (rank, det, work); ``det`` is the determinant of ``rows`` when
-    they are ``width`` square, and 0 when that block is singular.
+    Returns (rank, det, work, scales): ``work`` holds row i scaled by the
+    lcm ``scales[i]`` of its denominators, then eliminated; ``det`` is the
+    determinant of ``rows`` when they are ``width`` square, and 0 when that
+    block is singular.
     """
-    work = []
-    scale = 1
+    work, scales = [], []
     for row in rows:
         m = lcm(*(x.denominator for x in row))
-        scale *= m
+        scales.append(m)
         work.append([x.numerator * (m // x.denominator) for x in row])
+    limit = len(work) if pivot_rows is None else pivot_rows
     sign, prev, r = 1, 1, 0
     for c in range(width):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        piv = next((i for i in range(r, limit) if work[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
+            scales[r], scales[piv] = scales[piv], scales[r]
             sign = -sign
         p, pivot_row = work[r][c], work[r]
-        for i in range(0 if reduce else r + 1, len(work)):
-            if i != r:
-                f = work[i][c]
-                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], pivot_row)]
+        for i in range(r + 1, len(work)):
+            f = work[i][c]
+            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], pivot_row)]
         prev = p
         r += 1
-    full = r == width == len(work)
-    return r, Fraction(sign * prev, scale) if full else Fraction(0), work
+    det = Fraction(sign * prev, prod(scales)) if r == width == len(work) else Fraction(0)
+    return r, det, work, scales
+
+
+def schur_complement(a, k: int) -> Matrix:
+    """D - C A^-1 B for a = [[A, B], [C, D]], A the leading k x k block;
+    ValueError when A is singular. After k steps with pivots from A's rows,
+    the work entry (i, j) below and right of A is p_k * m_i times it, p_k
+    the last pivot and m_i the scale of row i (Sylvester's identity)."""
+    r, _, work, scales = _eliminate(a, k, k)
+    if r < k:
+        raise ValueError("singular matrix")
+    p = work[k - 1][k - 1] if k else 1
+    return tuple(
+        tuple(Fraction(x, p * m) for x in row[k:]) for row, m in zip(work[k:], scales[k:])
+    )
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination; ValueError
-    when singular. The right half ends as d*A^-1, d the last pivot."""
+    """Exact inverse, the Schur complement of the first block in
+    [[A, -I], [I, 0]]; ValueError when singular."""
     n = len(a)
-    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    r, _, work = _eliminate(augmented, n, reduce=True)
-    if r < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(work))
+    return schur_complement(
+        [list(row) + [-int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        + [[int(i == j) for j in range(2 * n)] for i in range(n)],
+        n,
+    )
 
 
 def det(a: Matrix) -> Fraction:
@@ -133,3 +151,24 @@ def det(a: Matrix) -> Fraction:
 
 def rank(a: Matrix) -> int:
     return _eliminate(a, len(a[0]) if a else 0)[0]
+
+
+def det_poly(p: Matrix, q: Matrix) -> list[Fraction]:
+    """Coefficients, lowest first, of det(t*P - Q) for square P and Q of
+    size n. Its values at t = 0..n, one determinant each, fix it: Newton
+    divided differences, then the Newton form expanded by Horner's rule."""
+    n = len(p)
+    diffs = [
+        det([[t * x - y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]) for t in range(n + 1)
+    ]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    coeffs: list[Fraction] = []
+    for k in range(n, -1, -1):
+        # coeffs <- coeffs * (t - k) + diffs[k]
+        coeffs = [Fraction(0)] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= k * coeffs[j + 1]
+        coeffs[0] += diffs[k]
+    return coeffs

@@ -12,9 +12,9 @@ data by r^(2n). Both directions of this translation are implemented; the
 inverse direction recognizes the wheel data of a polynomial and recovers it.
 
 ``lmo_wheel_data``, its inverse and ``aarhus_wheels`` build no Fraction
-series; ``mmr_series``, whose output is the series, multiplies the
-closed-form c(h) of ``hseries`` into nabla(e^(h/2)). Three identities make
-the translation integer arithmetic:
+series, and ``mmr_series`` multiplies none: c(h) = h / z meets only the
+constant term of nabla. Three identities make the translation integer
+arithmetic:
 
 - **The unknot is Bernoulli.** The wheels of c(h) alone (the unknot
   normalization, a pure function of the truncation order) are
@@ -80,9 +80,16 @@ def _knot_wheels(b: Sequence[Fraction], order: int, r: int) -> WheelSeries:
 def mmr_series(
     v: SeifertMatrix, components: int = 1, order: int = DEFAULT_ORDER
 ) -> HSeries:
-    """c(h) * nabla(t)|_{t^(1/2)=e^(h/2)} for the link with Seifert matrix V."""
-    result = nabla_from_seifert(v, components)
-    return c_series(order) * substitute_exp(result.polynomial, order)
+    """c(h) * nabla(t)|_{t^(1/2)=e^(h/2)} for the link with Seifert matrix V,
+    as nabla(0) c(h) + h R(e^(h/2)) with R = (nabla - nabla(0)) / z."""
+    z_form = nabla_from_seifert(v, components).z_form
+    s, b = z_form.prefactor_exponent, z_form.coeffs
+    if s:
+        head, rest = 0, ZPoly(s - 1, b)
+    else:
+        head, rest = (b[0] if b else 0), ZPoly(1, b[1:])
+    tail = [0, *substitute_exp(rest.expand(), order - 1).coeffs] if order else [0]
+    return HSeries([head * c + x for c, x in zip(c_series(order).coeffs, tail)], order)
 
 
 def aarhus_wheels(v: SeifertMatrix, order: int = DEFAULT_ORDER) -> WheelSeries:

@@ -3,7 +3,8 @@
 A framed link here is just its symmetric linking matrix over a label set
 split into surgery components X' and residual components X''. Integrating out
 the surgery block is the Schur complement; its signature pair normalizes the
-associated invariants and its determinant counts first homology.
+associated invariants and its determinant counts first homology. All three
+run on the one elimination kernel of `matrices`.
 """
 
 from __future__ import annotations
@@ -87,12 +88,6 @@ class FramedLinkMatrix:
         k, n = len(self._surgery), self.size
         return matrices.submatrix(self._entries, range(k, n), range(k, n))
 
-    @property
-    def mixed_block(self) -> Matrix:
-        """The X'' x X' block of linking numbers."""
-        k, n = len(self._surgery), self.size
-        return matrices.submatrix(self._entries, range(k, n), range(k))
-
     def entry(self, a: str, b: str) -> Fraction:
         lab = self.labels
         return self._entries[lab.index(a)][lab.index(b)]
@@ -114,10 +109,11 @@ class FramedLinkMatrix:
         )
 
 
-def _surgery_block_inverse(m: FramedLinkMatrix) -> Matrix:
-    """Inverse of the X' block; DomainError naming the labels when singular."""
+def _integrate_out(m: FramedLinkMatrix, rows) -> Matrix:
+    """Schur complement of the leading X' block of ``rows``; DomainError
+    naming the labels when that block is singular."""
     try:
-        return matrices.inverse(m.surgery_block)
+        return matrices.schur_complement(rows, len(m.surgery_labels))
     except ValueError:
         labels = ", ".join(m.surgery_labels)
         raise DomainError(f"singular surgery block over labels ({labels})") from None
@@ -126,54 +122,25 @@ def _surgery_block_inverse(m: FramedLinkMatrix) -> Matrix:
 def surgery_transform(m: FramedLinkMatrix) -> Matrix:
     """Linking matrix of the residual components after the surgery components
     are integrated out: the Schur complement of the X' block."""
-    if not m.surgery_labels:
-        return m.residual_block
-    inv = _surgery_block_inverse(m)
-    b = m.mixed_block
-    correction = matrices.matmul(matrices.matmul(b, inv), matrices.transpose(b))
-    return matrices.sub(m.residual_block, correction)
+    return _integrate_out(m, m.entries)
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def signature_pair(a) -> tuple[int, int]:
     """(number of positive, number of negative) eigenvalues of a symmetric
-    rational matrix, computed by exact congruence diagonalization."""
+    rational matrix A. Its eigenvalues are all real, so Descartes' rule of
+    signs is exact: the sign changes in the coefficients of det(t*I - A)
+    count the positive ones, and those of the same polynomial at -t the
+    negative ones."""
     am = matrices.as_matrix(a)
     if not matrices.is_square(am) or not matrices.is_symmetric(am):
         raise DomainError("signature needs a symmetric square matrix")
-    n = len(am)
-    w = [list(row) for row in am]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        piv = next((i for i in active if w[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for ai, i in enumerate(active) for j in active[ai + 1 :] if w[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            # all diagonals vanish here, so afterwards w[i][i] = 2*w[i][j] != 0
-            for k in range(n):
-                w[i][k] += w[j][k]
-            for k in range(n):
-                w[k][i] += w[k][j]
-            continue
-        d = w[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(piv)
-        for r in active:
-            if w[r][piv] != 0:
-                f = w[r][piv] / d
-                for k in range(n):
-                    w[r][k] -= f * w[piv][k]
-                for k in range(n):
-                    w[k][r] -= f * w[k][piv]
-    return pos, neg
+    chi = matrices.det_poly(matrices.identity(len(am)), am)
+    return _sign_changes(chi), _sign_changes([-c if k % 2 else c for k, c in enumerate(chi)])
 
 
 def h1_order(a) -> int:

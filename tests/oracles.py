@@ -2,18 +2,20 @@
 
 Everything here is deliberately written by a different route than the
 package code: cofactor expansion instead of fraction-free elimination,
-explicit row elimination instead of the Schur formula, direct series
+explicit row elimination instead of the Schur formula, congruence
+diagonalization instead of sign changes of det(t*I - A), direct series
 manipulation on plain coefficient lists instead of HSeries arithmetic,
 every permutation of legs instead of distinct gluings, every exponent
 vector instead of one walk per strut monomial, and the Fraction-series
 wheel translation (c(h) as the reciprocal of 2 sinh(h/2) / h, times
-nabla(e^(h/2)), O(D^2) Fraction log and exp recurrences on coefficient
-lists, peeling powers of z^2) instead of the integer central factorial,
-exponential-form and Bernoulli route. No oracle calls the package's
-c_series, wheels_from_series or w_nabla.
+nabla(e^(h/2)) as one dense product, O(D^2) Fraction log and exp
+recurrences on coefficient lists, peeling powers of z^2) instead of the
+integer central factorial, exponential-form and Bernoulli route. No oracle
+calls the package's c_series, wheels_from_series or w_nabla.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, floor
 
@@ -74,6 +76,47 @@ def eliminate_block(entries, k):
         done_rows.add(p)
         done_cols.add(q)
     return tuple(tuple(a[i][j] for j in range(k, n)) for i in range(k, n))
+
+
+def signature_by_congruence(a):
+    """(positive, negative) eigenvalue counts of a symmetric rational matrix
+    by exact congruence diagonalization: pivot on a nonzero diagonal entry,
+    or, when every remaining diagonal entry vanishes, add a row and column
+    with a nonzero off-diagonal entry onto another to make one."""
+    n = len(a)
+    w = [[Fraction(x) for x in row] for row in a]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        piv = next((i for i in active if w[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for ai, i in enumerate(active) for j in active[ai + 1 :] if w[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            # all diagonals vanish here, so afterwards w[i][i] = 2*w[i][j] != 0
+            for k in range(n):
+                w[i][k] += w[j][k]
+            for k in range(n):
+                w[k][i] += w[k][j]
+            continue
+        d = w[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(piv)
+        for r in active:
+            if w[r][piv] != 0:
+                f = w[r][piv] / d
+                for k in range(n):
+                    w[r][k] -= f * w[piv][k]
+                for k in range(n):
+                    w[k][r] -= f * w[k][piv]
+    return pos, neg
 
 
 def sinh_ratio_coeffs(order):
@@ -156,9 +199,11 @@ def exp_recurrence(a):
     return out
 
 
+@lru_cache(maxsize=None)
 def c_coeffs(order):
-    """c(h) = h / (2 sinh(h/2)) as the reciprocal of its closed-form inverse."""
-    return invert_coeffs(sinh_ratio_coeffs(order))
+    """c(h) = h / (2 sinh(h/2)) as the reciprocal of its closed-form inverse;
+    cached, since several tests need it at order 256."""
+    return tuple(invert_coeffs(sinh_ratio_coeffs(order)))
 
 
 def wheels_by_log(f):
@@ -310,6 +355,13 @@ def exp_linear_by_exponents(entries, bound):
         key = tuple(struts)
         acc[key] = acc.get(key, Fraction(0)) + coeff
     return StrutPolynomial(acc)
+
+
+def mmr_series_by_product(nabla, order):
+    """c(h) * nabla(e^(h/2)) as one dense product of Fraction coefficient
+    lists, for a Laurent polynomial nabla."""
+    f = substitute_exp(nabla, order).coeffs
+    return HSeries(mul_coeffs(c_coeffs(order), f, order), order)
 
 
 def nu_wheels_by_series(order):

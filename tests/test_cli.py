@@ -83,6 +83,35 @@ def test_aarhus_struts_routes(capsys, tmp_path, hopf_file):
     assert err.startswith("error:")
 
 
+def test_surgery_commands_multiply_no_matrices(capsys, monkeypatch, tmp_path, hopf_file):
+    """surgery and the Schur route integrate out the surgery block by
+    elimination alone: no matrix product."""
+    frac = tmp_path / "frac.json"
+    frac.write_text(FRACTIONAL_JSON)
+    commands = [
+        (command, "--linking", path, *route)
+        for path in (hopf_file, str(frac))
+        for command, route in (
+            ("surgery", ()),
+            ("aarhus-struts", ("--route", "schur")),
+            ("aarhus-struts", ("--route", "both")),
+        )
+    ]
+    expected = [run(capsys, *argv) for argv in commands]
+    assert expected[:3] == [
+        (0, "labels: a\n-1\nsignature: (1, 0)\nh1_order: 1\n", ""),
+        (0, "labels: a\n-1\n", ""),
+        (0, "labels: a\n-1\n", ""),
+    ]
+    assert expected[3] == (0, "labels: a\n-2\nsignature: (1, 0)\n", "")
+
+    def no_matmul(*args):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr("nabla_lmo.matrices.matmul", no_matmul)
+    assert [run(capsys, *argv) for argv in commands] == expected
+
+
 def test_mmr_command(capsys, trefoil_file):
     rc, out, _ = run(capsys, "mmr", "--seifert", trefoil_file, "--order", "6")
     assert rc == 0

@@ -5,7 +5,18 @@ from itertools import combinations, permutations
 import pytest
 
 from oracles import det_cofactor
-from nabla_lmo.matrices import as_matrix, det, identity, inverse, matmul, rank, submatrix
+from nabla_lmo.matrices import (
+    as_matrix,
+    det,
+    det_poly,
+    identity,
+    inverse,
+    matmul,
+    rank,
+    schur_complement,
+    sub,
+    submatrix,
+)
 
 RATIONALS = [Fraction(0)] * 4 + [Fraction(k, d) for k in (-5, -1, 1, 2, 7) for d in (1, 2, 3)]
 
@@ -102,3 +113,42 @@ def test_singular_matrix_raises():
         assert det(a) == det_cofactor(a) == 0
         with pytest.raises(ValueError, match="^singular matrix$"):
             inverse(a)
+
+
+def test_schur_complement_matches_block_formula():
+    # a singular block whose lower rows would supply the missing pivot
+    for rows in ([[0, 1], [1, 0]], [[0, 0, 1], [0, 0, 1], [1, 1, 0]], [["0", "1/2"], ["3", 0]]):
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            schur_complement(as_matrix(rows), len(rows) - 1)
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        n, k = rng.randint(1, 5), rng.randint(1, 3)
+        if k > n:
+            continue
+        a = random_matrix(rng, n, n)
+        assert schur_complement(a, 0) == a
+        top, rest = range(k), range(k, n)
+        block = submatrix(a, top, top)
+        if det_cofactor(block) == 0:
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                schur_complement(a, k)
+            continue
+        correction = matmul(
+            matmul(submatrix(a, rest, top), adjugate_inverse(block)), submatrix(a, top, rest)
+        )
+        assert schur_complement(a, k) == sub(submatrix(a, rest, rest), correction)
+        checked += 1
+
+
+def test_det_poly_matches_cofactor_values():
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(0, 4)
+        p, q = random_matrix(rng, n, n), random_matrix(rng, n, n)
+        coeffs = det_poly(p, q)
+        assert len(coeffs) == n + 1
+        for t in (Fraction(-2), Fraction(1, 3), Fraction(7)):
+            value = sum(c * t ** k for k, c in enumerate(coeffs))
+            shifted = [[t * x - y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]
+            assert value == det_cofactor(shifted)

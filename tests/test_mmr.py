@@ -6,10 +6,12 @@ import pytest
 from oracles import (
     cosh_minus_coeffs,
     invert_coeffs,
+    mmr_series_by_product,
     mul_coeffs,
     sequence_poly_degree,
     sinh_ratio_coeffs,
 )
+from nabla_lmo.alexander import nabla_from_seifert
 from nabla_lmo.errors import DomainError
 from nabla_lmo.hseries import HSeries, c_series
 from nabla_lmo.laurent import ZPoly
@@ -42,6 +44,23 @@ def test_trefoil_series_against_oracle_product():
     got = mmr_series(TREFOIL, 1, order)
     assert got.coeffs == tuple(expected)
     assert got.coeff(2) == Fraction(23, 24)
+
+
+def test_series_against_dense_product_oracle():
+    links = (
+        (FIGURE_EIGHT, 1),
+        (SeifertMatrix([[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, "1/2", 1], [0, 0, "-1/3", 2]]), 1),
+        (SeifertMatrix([["-2/3"]]), 2),
+        (SeifertMatrix([[1, "1/2", 0], [0, -1, 1], [0, 0, 3]]), 2),
+        (SeifertMatrix([[1, "1/2"], ["1/2", "-5/2"]]), 3),
+    )
+    for order in (0, 1, 2, 7, 16, 33, 256):
+        # each product at order 256 takes 0.2 s: one knot and one link there
+        for v, components in links if order < 256 else links[::4]:
+            nabla = nabla_from_seifert(v, components)
+            assert nabla.z_form.prefactor_exponent == components - 1
+            expected = mmr_series_by_product(nabla.polynomial, order)
+            assert mmr_series(v, components, order) == expected, (order, str(nabla))
 
 
 def test_figure_eight_series():

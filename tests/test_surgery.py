@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_symmetric, random_unimodular
+from oracles import random_symmetric, random_unimodular, signature_by_congruence
 from nabla_lmo.errors import DomainError
+from nabla_lmo.gaussian import gaussian_pair
 from nabla_lmo.matrices import as_matrix, matmul, rank, transpose
 from nabla_lmo.surgery import (
     FramedLinkMatrix,
@@ -62,6 +63,15 @@ def test_surgery_transform_singular_block():
         surgery_transform(m)
     assert "x" in str(err.value) and "y" in str(err.value)
 
+    # the residual row has a nonzero in the surgery column: a pivot taken
+    # from it would hide the singular block and return a matrix
+    m = link(["x", "a"], ["x"], [[0, 1], [1, 0]])
+    message = "^singular surgery block over labels \\(x\\)$"
+    with pytest.raises(DomainError, match=message):
+        surgery_transform(m)
+    with pytest.raises(DomainError, match=message):
+        gaussian_pair(m)
+
 
 def test_signature_examples():
     assert signature_pair([[1, 0], [0, 1]]) == (2, 0)
@@ -71,20 +81,37 @@ def test_signature_examples():
     assert signature_pair([[0, 0], [0, -3]]) == (0, 1)
 
 
+def random_signature_input(rng, n):
+    """Random symmetric rational matrix of size n; about a third have a
+    zero diagonal and about a third are B D B^T of rank below n."""
+    kind = rng.randrange(3)
+    if kind == 2 and n > 1:
+        k = rng.randint(1, n - 1)
+        b = as_matrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+        d = random_symmetric(rng, k, denominators=(1, 3))
+        return matmul(matmul(b, d), transpose(b))
+    a = [list(row) for row in random_symmetric(rng, n, denominators=(1, 2))]
+    if kind == 1:
+        for i in range(n):
+            a[i][i] = Fraction(0)
+    return as_matrix(a)
+
+
 def test_signature_sylvester_stability():
     rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        a = random_symmetric(rng, n, denominators=(1, 2))
+    for _ in range(80):
+        n = rng.randint(0, 7)
+        a = random_signature_input(rng, n)
         expected = signature_pair(a)
+        assert expected == signature_by_congruence(a)
+        pos, neg = expected
+        assert pos + neg == rank(a)
         while True:
             p = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
             if rank(as_matrix(p)) == n:
                 break
         conj = matmul(matmul(as_matrix(p), a), transpose(as_matrix(p)))
         assert signature_pair(conj) == expected
-        pos, neg = expected
-        assert pos + neg == rank(a)
 
 
 def test_h1_order():
