@@ -16,7 +16,7 @@ from . import _terms
 from .alexander import NablaResult, nabla_from_seifert, normalize_delta
 from .errors import DomainError, ParseError
 from .fixtures import load_fixtures
-from .gaussian import gaussian_pair, strut_part_of_aarhus
+from .gaussian import MAX_WICK_PAIRS, gaussian_pair, strut_part_of_aarhus
 from .hseries import DEFAULT_ORDER, MAX_ORDER
 from .matrices import Matrix, is_integral
 from .mmr import (
@@ -88,6 +88,12 @@ def _cmd_surgery(args) -> str:
 
 def _cmd_aarhus_struts(args) -> str:
     m = read_linking_file(args.linking)
+    k, r = len(m.surgery_labels), len(m.residual_labels)
+    if args.route != "schur" and k * r > MAX_WICK_PAIRS:
+        raise ParseError(
+            f"--route {args.route} takes k·r <= {MAX_WICK_PAIRS} mixed linking pairs, "
+            f"got k·r = {k}·{r} = {k * r}"
+        )
     if args.route == "schur":
         q = strut_part_of_aarhus(m)
     elif args.route == "wick":

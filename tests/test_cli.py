@@ -1,9 +1,11 @@
 import json
 import sys
+from math import isqrt
 
 import pytest
 
 from nabla_lmo.cli import ORDER_ENV, main
+from nabla_lmo.gaussian import MAX_WICK_PAIRS, strut_part_of_aarhus
 from nabla_lmo.hseries import MAX_ORDER, HSeries
 from nabla_lmo.mmr import nu_wheels
 
@@ -81,6 +83,54 @@ def test_aarhus_struts_routes(capsys, tmp_path, hopf_file):
     rc, _, err = run(capsys, "aarhus-struts", "--linking", str(frac), "--route", "schur")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_aarhus_struts_wick_limit(capsys, monkeypatch, tmp_path):
+    """--route wick and both refuse more than MAX_WICK_PAIRS mixed linking
+    pairs before either route runs; --route schur has no such limit."""
+    k = isqrt(MAX_WICK_PAIRS)
+    r = MAX_WICK_PAIRS // k
+    assert k * r == MAX_WICK_PAIRS
+
+    def link_file(residual):
+        labels = [f"x{i}" for i in range(k)] + [f"a{i}" for i in range(residual)]
+        n = len(labels)
+        rows = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        rows[0][k] = rows[k][0] = "2"
+        path = tmp_path / f"k{k}r{residual}.json"
+        path.write_text(json.dumps({"labels": labels, "surgery": labels[:k], "matrix": rows}))
+        return str(path)
+
+    at_limit, past_limit = link_file(r), link_file(r + 1)
+    calls = []
+
+    def stub(m):
+        calls.append(m)
+        return strut_part_of_aarhus(m)
+
+    def refuse(m):
+        raise AssertionError("a route ran past the limit")
+
+    monkeypatch.setattr("nabla_lmo.cli.gaussian_pair", stub)
+    for route in ("wick", "both"):
+        rc, out, err = run(capsys, "aarhus-struts", "--linking", at_limit, "--route", route)
+        assert (rc, err) == (0, "")
+        assert out.startswith("labels: a0 a1 ")
+    assert len(calls) == 2
+
+    monkeypatch.setattr("nabla_lmo.cli.gaussian_pair", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr("nabla_lmo.cli.strut_part_of_aarhus", refuse)
+        for route in ("wick", "both"):
+            assert run(capsys, "aarhus-struts", "--linking", past_limit, "--route", route) == (
+                2,
+                "",
+                f"error: --route {route} takes k·r <= {MAX_WICK_PAIRS} mixed linking pairs, "
+                f"got k·r = {k}·{r + 1} = {k * (r + 1)}\n",
+            )
+    rc, out, err = run(capsys, "aarhus-struts", "--linking", past_limit, "--route", "schur")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == "-3" + " 0" * r
 
 
 def test_surgery_commands_multiply_no_matrices(capsys, monkeypatch, tmp_path, hopf_file):
