@@ -1,9 +1,12 @@
-"""Term dicts: the arithmetic and printing shared by the sparse polynomials.
+"""Term dicts: the sparse polynomial ring shared by Laurent, wheel and strut
+polynomials, and the printing of its coefficients.
 
 A term dict maps a monomial key (a t^(1/2) exponent, a sorted tuple of
-wheels or of struts) to a nonzero Fraction. The polynomial classes keep
-their operators in their own bodies and hand the loops to these functions,
-which take and return normalized term dicts.
+wheels or of struts) to a nonzero Fraction; the functions below take and
+return normalized term dicts. ``TermPoly`` wraps one term dict and owns the
+ring protocol (construction, equality, +, -, *, scalars on either side);
+a subclass sets how keys are normalized and multiplied and which key is the
+unit monomial, and adds only its own methods.
 """
 
 from __future__ import annotations
@@ -57,6 +60,102 @@ def mul(a: dict, b: dict, combine: Callable[[Hashable, Hashable], Hashable]) -> 
             v = v1 * v2
             out[k] = out[k] + v if k in out else v
     return drop_zeros(out)
+
+
+class TermPoly:
+    """A polynomial with rational coefficients in commuting monomials.
+
+    Set by each subclass: ``_key`` normalizes a monomial key (and rejects an
+    invalid one), ``_combine`` multiplies two normalized keys, and ``_unit``
+    is the key of the monomial 1. Values are immutable; a scalar (int or
+    Fraction) on either side of +, - and * stands for that constant. Values
+    of different subclasses neither compare equal nor combine.
+    """
+
+    __slots__ = ("_terms",)
+
+    _key: Callable[[Hashable], Hashable]
+    _combine: Callable[[Hashable, Hashable], Hashable]
+    _unit: Hashable
+
+    def __init__(self, terms: Optional[Mapping] = None):
+        self._terms = normalize(terms, self._key) if terms else {}
+
+    @classmethod
+    def _from_normalized(cls, terms: dict):
+        """Wrap a term dict that is already normalized."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._from_normalized({})
+
+    @classmethod
+    def one(cls):
+        return cls._from_normalized({cls._unit: Fraction(1)})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coeff(self, key) -> Fraction:
+        return self._terms.get(self._key(key), Fraction(0))
+
+    def items(self) -> list:
+        return sorted(self._terms.items())
+
+    def _coerce(self, other) -> Optional["TermPoly"]:
+        """``other`` as a value of this type; None when it is neither that
+        type nor a scalar."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._from_normalized({self._unit: Fraction(other)} if other else {})
+        return None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    __hash__ = None
+
+    def __neg__(self):
+        return self._from_normalized(scale(self._terms, -1))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._from_normalized(add(self._terms, other._terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._from_normalized(scale(self._terms, other))
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._from_normalized(mul(self._terms, other._terms, self._combine))
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 def text(x) -> str:

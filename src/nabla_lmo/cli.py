@@ -149,6 +149,8 @@ def _refuse_flags(mode: str, flags: dict) -> None:
 def _cmd_lmo(args) -> str:
     if args.invert is not None:
         _refuse_flags("--invert", {"--tor": args.tor, "--order": args.order, "--json": args.json})
+        if args.max_z_degree is not None and args.max_z_degree < 0:
+            raise ParseError(f"--max-z-degree must be non-negative, got {args.max_z_degree}")
         data = read_lmo_file(args.invert)
         max_z = args.max_z_degree if args.max_z_degree is not None else data.order
         return str(nabla_from_lmo_wheel_data(data, max_z))

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import floor, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import _terms, matrices
 from .errors import DomainError
@@ -66,42 +66,17 @@ def _term(struts: Iterable[Strut]) -> Term:
     return tuple(sorted(_strut(a, b) for a, b in struts))
 
 
-class StrutPolynomial:
+class StrutPolynomial(_terms.TermPoly):
     """A polynomial in commuting struts with rational coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Term, Scalar] | None = None):
-        self._terms = _terms.normalize(terms, _term) if terms else {}
-
-    @classmethod
-    def _from_normalized(cls, terms: dict[Term, Fraction]) -> "StrutPolynomial":
-        """Wrap a term dict that is already normalized."""
-        out = cls()
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls) -> "StrutPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "StrutPolynomial":
-        return cls({(): Fraction(1)})
+    __slots__ = ()
+    _key = staticmethod(_term)
+    _combine = staticmethod(_terms.sorted_union)
+    _unit = ()
 
     @classmethod
     def strut(cls, a: str, b: str, coeff: Scalar = 1) -> "StrutPolynomial":
         return cls({(_strut(a, b),): Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, term: Iterable[Strut]) -> Fraction:
-        return self._terms.get(_term(term), Fraction(0))
-
-    def items(self):
-        return sorted(self._terms.items())
 
     def degree(self) -> int:
         """Largest strut count among the terms; -1 when zero."""
@@ -112,41 +87,10 @@ class StrutPolynomial:
             {t: c for t, c in self._terms.items() if len(t) <= max_degree}
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StrutPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __add__(self, other) -> "StrutPolynomial":
-        if not isinstance(other, StrutPolynomial):
-            return NotImplemented
-        return StrutPolynomial._from_normalized(_terms.add(self._terms, other._terms))
-
-    def __sub__(self, other) -> "StrutPolynomial":
-        if not isinstance(other, StrutPolynomial):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, other) -> "StrutPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return StrutPolynomial._from_normalized(_terms.scale(self._terms, other))
-        if isinstance(other, StrutPolynomial):
-            return StrutPolynomial._from_normalized(
-                _terms.mul(self._terms, other._terms, _terms.sorted_union)
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return _terms.signed_sum(
             (c, "*".join(f"s({a},{b})" for a, b in term) or None) for term, c in self.items()
         )
-
-    def __repr__(self) -> str:
-        return f"StrutPolynomial({self._terms!r})"
 
 
 class StrutQuadratic:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from . import _terms
 from .errors import DomainError
@@ -21,27 +21,14 @@ from .errors import DomainError
 Scalar = Union[int, Fraction]
 
 
-class HalfLaurent:
-    """A finite Laurent polynomial in t^(1/2) with rational coefficients."""
+class HalfLaurent(_terms.TermPoly):
+    """A finite Laurent polynomial in t^(1/2) with rational coefficients,
+    keyed by the exponent in halves."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        self._c = _terms.normalize(coeffs, int) if coeffs else {}
-
-    @classmethod
-    def _from_normalized(cls, coeffs: dict[int, Fraction]) -> "HalfLaurent":
-        out = cls()
-        out._c = coeffs
-        return out
-
-    @classmethod
-    def zero(cls) -> "HalfLaurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "HalfLaurent":
-        return cls({0: 1})
+    __slots__ = ()
+    _key = staticmethod(int)
+    _combine = staticmethod(operator.add)
+    _unit = 0
 
     @classmethod
     def constant(cls, c: Scalar) -> "HalfLaurent":
@@ -53,58 +40,9 @@ class HalfLaurent:
         return cls({half_exponent: Fraction(coeff)})
 
     @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
     def support(self) -> tuple[int, ...]:
         """Exponents (in halves) carrying a nonzero coefficient, ascending."""
-        return tuple(sorted(self._c))
-
-    def coeff(self, half_exponent: int) -> Fraction:
-        return self._c.get(half_exponent, Fraction(0))
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self._c == other._c
-
-    __hash__ = None
-
-    def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent._from_normalized(_terms.scale(self._c, -1))
-
-    def __add__(self, other) -> "HalfLaurent":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return HalfLaurent._from_normalized(_terms.add(self._c, other._c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfLaurent":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "HalfLaurent":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "HalfLaurent":
-        if isinstance(other, (int, Fraction)):
-            return HalfLaurent._from_normalized(_terms.scale(self._c, other))
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return HalfLaurent._from_normalized(_terms.mul(self._c, other._c, operator.add))
-
-    __rmul__ = __mul__
+        return tuple(sorted(self._terms))
 
     def __pow__(self, n: int) -> "HalfLaurent":
         if n < 0:
@@ -116,21 +54,23 @@ class HalfLaurent:
 
     def shift(self, half_exponent: int) -> "HalfLaurent":
         """Multiply by t^(half_exponent/2)."""
-        return HalfLaurent._from_normalized({k + half_exponent: v for k, v in self._c.items()})
+        return HalfLaurent._from_normalized(
+            {k + half_exponent: v for k, v in self._terms.items()}
+        )
 
     def involution(self) -> "HalfLaurent":
         """The substitution t^(1/2) -> -t^(-1/2), i.e. t^(k/2) -> (-1)^k t^(-k/2)."""
         return HalfLaurent._from_normalized(
-            {-k: (v if k % 2 == 0 else -v) for k, v in self._c.items()}
+            {-k: (v if k % 2 == 0 else -v) for k, v in self._terms.items()}
         )
 
     def evaluate(self, value: Scalar) -> Fraction:
         """Evaluate at t^(1/2) = value."""
         v = Fraction(value)
-        if v == 0 and any(k < 0 for k in self._c):
+        if v == 0 and any(k < 0 for k in self._terms):
             raise DomainError("cannot evaluate negative exponents at 0")
         total = Fraction(0)
-        for k, c in self._c.items():
+        for k, c in self._terms.items():
             total += c * v ** k
         return total
 
@@ -142,7 +82,7 @@ class HalfLaurent:
             return HalfLaurent.zero()
         # Shift both operands to ordinary polynomials in u = t^(1/2) and run
         # dense long division from the top; the remainder must vanish.
-        smin, omin = min(self._c), min(other._c)
+        smin, omin = min(self._terms), min(other._terms)
         p = _dense(self, smin)
         q = _dense(other, omin)
         dq = len(q) - 1
@@ -164,22 +104,11 @@ class HalfLaurent:
     def __str__(self) -> str:
         return _terms.signed_sum((c, _t_monomial(k)) for k, c in self.items())
 
-    def __repr__(self) -> str:
-        return f"HalfLaurent({dict(self.items())!r})"
-
-
-def _coerce(value) -> HalfLaurent | None:
-    if isinstance(value, HalfLaurent):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return HalfLaurent.constant(value)
-    return None
-
 
 def _dense(p: HalfLaurent, base: int) -> list[Fraction]:
-    top = max(p._c)
+    top = max(p._terms)
     out = [Fraction(0)] * (top - base + 1)
-    for k, v in p._c.items():
+    for k, v in p._terms.items():
         out[k - base] = v
     return out
 
@@ -286,7 +215,7 @@ def rewrite_in_z(p: HalfLaurent, prefactor_exponent: int) -> ZPoly:
     if top < s or (top - s) % 2 != 0:
         raise DomainError(f"polynomial does not lie in z^{s}*Q[z^2]")
     b = [Fraction(0)] * ((top - s) // 2 + 1)
-    r = dict(p._c)
+    r = dict(p._terms)
     while r:
         m = max(r)
         if m < s or (m - s) % 2 != 0:

@@ -230,9 +230,23 @@ def _rational(value, context: str) -> Fraction:
 
 
 def _load_json(path: str):
+    """The JSON value in ``path``; ParseError when an object repeats a key."""
+
+    def unique_keys(pairs: list) -> dict:
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            seen = set()
+            for k, _ in pairs:
+                if k in seen:
+                    raise ParseError(f"{path}: duplicate key {_echo(k)}")
+                seen.add(k)
+        return out
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except ParseError:
+            raise
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
@@ -315,7 +329,9 @@ def _wheels_from_json(obj, context: str) -> WheelSeries:
         try:
             idx = int(k)
         except ValueError:
-            raise ParseError(f"{context}: bad wheel index {_echo(k)}") from None
+            idx = None
+        if idx is None or k != str(idx):  # only the text lmo_data_to_json writes
+            raise ParseError(f"{context}: bad wheel index {_echo(k)}")
         coeffs[idx] = _rational(v, context)
     try:
         return WheelSeries(coeffs)

@@ -72,44 +72,20 @@ class WheelSeries:
         return f"WheelSeries({self.coefficients!r})"
 
 
-class WheelPolynomial:
-    """A polynomial in commuting even wheels."""
+class WheelPolynomial(_terms.TermPoly):
+    """A polynomial in commuting even wheels, keyed by the sorted wheel sizes."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[WheelTerm, Scalar] | None = None):
-        self._terms = _terms.normalize(terms, _wheel_term) if terms else {}
-
-    @classmethod
-    def _from_normalized(cls, terms: dict[WheelTerm, Fraction]) -> "WheelPolynomial":
-        out = cls()
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls) -> "WheelPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "WheelPolynomial":
-        return cls({(): 1})
+    __slots__ = ()
+    _key = staticmethod(_wheel_term)
+    _combine = staticmethod(_terms.sorted_union)
+    _unit = ()
 
     @classmethod
     def wheel(cls, index: int, coeff: Scalar = 1) -> "WheelPolynomial":
         return cls({(index,): coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, term: WheelTerm) -> Fraction:
-        return self._terms.get(tuple(sorted(term)), Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self._terms.get((), Fraction(0))
-
-    def items(self):
-        return sorted(self._terms.items())
 
     def degree(self) -> int:
         return max((sum(t) for t in self._terms), default=-1)
@@ -118,55 +94,6 @@ class WheelPolynomial:
         return WheelPolynomial._from_normalized(
             {t: c for t, c in self._terms.items() if sum(t) <= order}
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WheelPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __add__(self, other) -> "WheelPolynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return WheelPolynomial._from_normalized(_terms.add(self._terms, other._terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "WheelPolynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + other * Fraction(-1)
-
-    def __rsub__(self, other) -> "WheelPolynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + self * Fraction(-1)
-
-    def __mul__(self, other) -> "WheelPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return WheelPolynomial._from_normalized(_terms.scale(self._terms, other))
-        if not isinstance(other, WheelPolynomial):
-            return NotImplemented
-        return WheelPolynomial._from_normalized(
-            _terms.mul(self._terms, other._terms, _terms.sorted_union)
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"WheelPolynomial({self._terms!r})"
-
-
-def _coerce(value) -> WheelPolynomial | None:
-    if isinstance(value, WheelPolynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return WheelPolynomial({(): value})
-    return None
 
 
 def wheel_exp(p: WheelPolynomial, order: int) -> WheelPolynomial:

@@ -342,6 +342,10 @@ def test_exit_codes(capsys, tmp_path):
         assert run(capsys, "lmo", "--invert", str(wheel_file), *extra) == (
             2, "", f"error: {flag} does not apply with --invert\n"
         )
+    missing = str(tmp_path / "missing.json")  # refused before the file is read
+    assert run(capsys, "lmo", "--invert", missing, "--max-z-degree", "-3") == (
+        2, "", "error: --max-z-degree must be non-negative, got -3\n"
+    )
     for extra in (("--max-z-degree", "3"), ("--max-z-degree", "0", "--json")):
         assert run(capsys, "lmo", "--nabla", "1 + z^2", "--tor", "1", *extra) == (
             2, "", "error: --max-z-degree does not apply with --nabla\n"

@@ -207,12 +207,25 @@ def test_lmo_file_rejections(tmp_path):
         lambda d: d.update(knot_wheels={"2": 0.5}),
         lambda d: d.update(nu_wheels="x"),
         lambda d: d.update(nu_wheels={"2": "1"}),
+        # an index key is read only in the text lmo_data_to_json writes
+        lambda d: d.update(knot_wheels={"02": "1"}),
+        lambda d: d.update(knot_wheels={" 2": "1"}),
+        lambda d: d.update(knot_wheels={"0_2": "1"}),
+        lambda d: d.update(knot_wheels={"2": "1", " 2": "5"}),
     ):
         broken = json.loads(json.dumps(good))
         mutate(broken)
         path.write_text(json.dumps(broken))
         with pytest.raises(ParseError):
             read_lmo_file(str(path))
+
+    # a repeated key in any JSON object is refused, not resolved by the last one
+    path.write_text(json.dumps(good).replace('"knot_wheels": {', '"knot_wheels": {"2": "1", ', 1))
+    with pytest.raises(ParseError, match="duplicate key '2'"):
+        read_lmo_file(str(path))
+    path.write_text('{"matrix": [[1]], "matrix": [[-1, 1], [0, -1]]}')
+    with pytest.raises(ParseError, match="duplicate key 'matrix'"):
+        read_seifert_file(str(path))
 
 
 def test_lmo_file_wrong_nu_is_reported_before_knot_indices(tmp_path):

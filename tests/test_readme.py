@@ -61,3 +61,16 @@ def test_readme_usage_examples(capsys, monkeypatch, tmp_path):
             assert out.splitlines() == shown, argv
         commands += 1
     assert commands == sum(line.startswith("$ nabla-lmo ") for line in lines) > 0
+
+
+def test_readme_package_layout_lists_every_module():
+    """One "Package layout" row per module file, none for a missing one."""
+    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
+    rows = [
+        line.split("|")[1].strip().strip("`")
+        for line in section.split("\n## ", 1)[0].splitlines()
+        if line.startswith("| `")
+    ]
+    package = README.parent / "src" / "nabla_lmo"
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert sorted(rows) == modules
