@@ -24,7 +24,6 @@ from .hseries import (
     c_series,
     series_to_z_poly,
     substitute_exp,
-    z_squared_series,
 )
 from .laurent import HalfLaurent, ZPoly, rewrite_in_z
 from .mmr import (
@@ -102,7 +101,6 @@ __all__ = [
     "wheel_log",
     "wheels_from_series",
     "wick_pair",
-    "z_squared_series",
 ]
 
 __version__ = "0.1.0"

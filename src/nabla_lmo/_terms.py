@@ -22,6 +22,16 @@ def drop_zeros(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if v != 0}
 
 
+def int_key(k) -> int:
+    """``k`` as an int; DomainError naming ``k`` when its value is not an integer."""
+    try:
+        if int(k) == k:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"key {k!r} is not an integer")
+
+
 def normalize(terms: Mapping, key: Optional[Callable[[Hashable], Hashable]] = None) -> dict:
     """Fraction coefficients, equal keys summed, zeros dropped; ``key``
     normalizes the keys of nonzero terms only, so it never rejects a zero term."""

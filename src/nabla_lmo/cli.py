@@ -33,22 +33,15 @@ from .parsing import (
     read_linking_file,
     read_lmo_file,
     read_seifert_file,
+    read_text,
 )
 from .surgery import h1_order, signature_pair, surgery_transform
 from .wheels import wheels_from_series
 
-ORDER_ENV = "NABLA_LMO_ORDER"
-
 
 def _resolve_order(value: Optional[int]) -> int:
     if value is None:
-        env = os.environ.get(ORDER_ENV)
-        if env is None:
-            return DEFAULT_ORDER
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParseError(f"{ORDER_ENV}={env!r} is not an integer") from None
+        return DEFAULT_ORDER
     if value < 0:
         raise ParseError(f"truncation order must be non-negative, got {value}")
     if value > MAX_ORDER:
@@ -118,13 +111,13 @@ def _cmd_wheels(args) -> str:
             raise DomainError("wheel data is defined for knots (1 component)")
         return str(aarhus_wheels(matrix, order))
     source = args.from_series
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                source = fh.read().strip()
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{source}: not UTF-8 text ({exc})") from None
-    return str(wheels_from_series(parse_h_series(source, order)))
+    try:
+        series = parse_h_series(source, order)
+    except ParseError:
+        if not os.path.isfile(source):
+            raise
+        series = parse_h_series(read_text(source).strip(), order)
+    return str(wheels_from_series(series))
 
 
 def _wheel_data_text(data, as_json: bool) -> str:
@@ -190,7 +183,7 @@ def _add_order_flag(sub) -> None:
         "--order",
         type=int,
         default=None,
-        help=f"series truncation order (default: ${ORDER_ENV} or {DEFAULT_ORDER})",
+        help=f"series truncation order (default: {DEFAULT_ORDER})",
     )
 
 
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--from-series",
         metavar="FILE|EXPR",
-        help="h-series, given inline or as a file",
+        help="inline h-series, or a file holding one when EXPR does not parse",
     )
     source.add_argument("--from-seifert", metavar="FILE")
     _add_order_flag(p)
@@ -282,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command. Its whole output is formatted before anything is
-    printed, so a rejected input leaves stdout empty."""
+    printed, so a rejected input, or an output stdout cannot encode, leaves
+    stdout empty."""
     args = build_parser().parse_args(argv)
     try:
         print(args.func(args))
@@ -290,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

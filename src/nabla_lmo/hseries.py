@@ -244,14 +244,6 @@ def substitute_exp(p: HalfLaurent, order: int = DEFAULT_ORDER) -> HSeries:
     )
 
 
-def z_squared_series(order: int = DEFAULT_ORDER) -> HSeries:
-    """The series of z^2 = (e^(h/2) - e^(-h/2))^2 = 2*cosh(h) - 2."""
-    cs = [Fraction(0)] * (order + 1)
-    for m in range(2, order + 1, 2):
-        cs[m] = Fraction(2, factorial(m))
-    return HSeries(cs, order)
-
-
 @lru_cache(maxsize=MAX_ORDER + 1)
 def _cf_second_kind(m: int) -> tuple[int, ...]:
     """Row m of the second-kind central factorial triangle: T(2m,2k) for

@@ -26,7 +26,7 @@ class HalfLaurent(_terms.TermPoly):
     keyed by the exponent in halves."""
 
     __slots__ = ()
-    _key = staticmethod(int)
+    _key = staticmethod(_terms.int_key)
     _combine = staticmethod(operator.add)
     _unit = 0
 

@@ -229,6 +229,15 @@ def _rational(value, context: str) -> Fraction:
     raise ParseError(f"{context}: expected an exact rational, got {_echo(value)}")
 
 
+def read_text(path: str) -> str:
+    """The text of the file ``path``; ParseError when it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_json(path: str):
     """The JSON value in ``path``; ParseError when an object repeats a key."""
 
@@ -242,20 +251,15 @@ def _load_json(path: str):
                 seen.add(k)
         return out
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except ParseError:
-            raise
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-        except ValueError:  # an integer literal with more digits than Python converts
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(
-                f"{path}: invalid JSON (a number longer than {limit} digits)"
-            ) from None
+    try:
+        return json.loads(read_text(path), object_pairs_hook=unique_keys)
+    except ParseError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError:  # an integer literal with more digits than Python converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: invalid JSON (a number longer than {limit} digits)") from None
 
 
 def _matrix_rows(data, path: str):

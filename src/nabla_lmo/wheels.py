@@ -22,7 +22,7 @@ WheelTerm = tuple[int, ...]
 
 
 def _check_index(index: int) -> int:
-    index = int(index)
+    index = _terms.int_key(index)
     if index < 2 or index % 2 != 0:
         raise DomainError(f"wheel size must be a positive even integer, got {index}")
     return index

@@ -21,7 +21,7 @@ from math import factorial, floor
 
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
-from nabla_lmo.hseries import HSeries, substitute_exp, z_squared_series
+from nabla_lmo.hseries import HSeries, substitute_exp
 from nabla_lmo.laurent import ZPoly
 from nabla_lmo.wheels import WheelSeries, rescale_degree
 
@@ -383,7 +383,7 @@ def z_poly_by_peeling(g, max_z_degree):
     if any(g.coeff(m) != 0 for m in range(1, g.order + 1, 2)):
         raise DomainError("series has odd-order terms; not a polynomial in z^2")
     kmax = min(max_z_degree // 2, g.order // 2)
-    z2 = z_squared_series(g.order)
+    z2 = HSeries(cosh_minus_coeffs(g.order), g.order)
     power = HSeries.one(g.order)
     residual = g
     b = []

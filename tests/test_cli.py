@@ -1,10 +1,11 @@
+import io
 import json
 import sys
 from math import isqrt
 
 import pytest
 
-from nabla_lmo.cli import ORDER_ENV, main
+from nabla_lmo.cli import main
 from nabla_lmo.gaussian import MAX_WICK_PAIRS, strut_part_of_aarhus
 from nabla_lmo.hseries import MAX_ORDER, HSeries
 from nabla_lmo.mmr import nu_wheels
@@ -168,23 +169,6 @@ def test_mmr_command(capsys, trefoil_file):
     assert out == "1 + 23/24*h^2 + 247/5760*h^4 + 473/967680*h^6 + O(h^7)\n"
 
 
-def test_order_environment_variable(capsys, monkeypatch, trefoil_file):
-    monkeypatch.setenv(ORDER_ENV, "4")
-    rc, out, _ = run(capsys, "mmr", "--seifert", trefoil_file)
-    assert rc == 0
-    assert out == "1 + 23/24*h^2 + 247/5760*h^4 + O(h^5)\n"
-
-    # the flag wins over the environment
-    rc, out, _ = run(capsys, "mmr", "--seifert", trefoil_file, "--order", "2")
-    assert rc == 0
-    assert out == "1 + 23/24*h^2 + O(h^3)\n"
-
-    monkeypatch.setenv(ORDER_ENV, "banana")
-    rc, _, err = run(capsys, "mmr", "--seifert", trefoil_file)
-    assert rc == 2
-    assert err.startswith("error:")
-
-
 def test_wheels_command(capsys, tmp_path, trefoil_file):
     rc, out, _ = run(
         capsys, "wheels", "--from-series", "1 - 1/24*h^2 + 7/5760*h^4", "--order", "4"
@@ -201,6 +185,16 @@ def test_wheels_command(capsys, tmp_path, trefoil_file):
     rc, out, _ = run(capsys, "wheels", "--from-seifert", trefoil_file, "--order", "6")
     assert rc == 0
     assert out == "exp( -23/48 w2 + 1199/5760 w4 - 45863/362880 w6 )\n"
+
+
+def test_wheels_from_series_parses_before_looking_for_a_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argvs = [("wheels", "--from-series", arg, "--order", "4") for arg in ("1 + h^2", "1")]
+    empty_dir = [run(capsys, *argv) for argv in argvs]
+    assert empty_dir == [(0, "exp( -1/2 w2 + 1/4 w4 )\n", ""), (0, "exp( 0 )\n", "")]
+    (tmp_path / "1 + h^2").write_text("1 - 5*h^2")
+    (tmp_path / "1").mkdir()
+    assert [run(capsys, *argv) for argv in argvs] == empty_dir
 
 
 def test_wheels_rejects_links(capsys, tmp_path):
@@ -444,6 +438,42 @@ def test_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_unencodable_output_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "accent.json"
+    path.write_text(
+        '{"labels": ["x", "\u00e9"], "surgery": ["x"], "matrix": [["1", "1"], ["1", "0"]]}'
+    )
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["surgery", "--linking", str(path)]) == 2
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_output_does_not_depend_on_the_environment(capsys, monkeypatch, trefoil_file):
+    """Without --order every command truncates at order 16, whatever
+    environment variables named after the package and its options hold."""
+    commands = [
+        ("mmr", "--seifert", trefoil_file),
+        ("wheels", "--from-seifert", trefoil_file),
+        ("wheels", "--from-series", "1 - 1/24*h^2 + 7/5760*h^4"),
+        ("lmo", "--nabla", "1 + z^2", "--tor", "3", "--json"),
+        ("roundtrip", "--nabla", "1 - 3*z^2 + z^4", "--tor", "2"),
+    ]
+    names = [f"{main.__module__.split('.')[0].upper()}_{option}"
+             for option in ("ORDER", "TOR", "MAX_Z_DEGREE")]
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    at_16 = [run(capsys, *argv, "--order", "16") for argv in commands]
+    assert all(rc == 0 for rc, _, _ in at_16)
+    assert [run(capsys, *argv) for argv in commands] == at_16
+    for name in names:
+        monkeypatch.setenv(name, "4")
+    assert [run(capsys, *argv) for argv in commands] == at_16
+
+
 def test_output_is_deterministic(capsys, trefoil_file):
     first = run(capsys, "lmo", "--nabla", "1 + z^2", "--tor", "3", "--order", "8", "--json")
     second = run(capsys, "lmo", "--nabla", "1 + z^2", "--tor", "3", "--order", "8", "--json")
@@ -473,9 +503,6 @@ def test_order_and_exponent_limits(capsys, monkeypatch, tmp_path, trefoil_file):
         ("roundtrip", "--nabla", "1 + z^2", "--tor", "1"),
     ):
         assert run(capsys, *argv, "--order", too_big) == (2, "", message)
-        monkeypatch.setenv(ORDER_ENV, too_big)
-        assert run(capsys, *argv) == (2, "", message)
-        monkeypatch.delenv(ORDER_ENV)
 
     for command in ("lmo", "roundtrip"):
         rc, out, err = run(capsys, command, "--nabla", "1 + z^4000000", "--tor", "1")

@@ -16,7 +16,6 @@ from nabla_lmo.hseries import (
     c_series,
     series_to_z_poly,
     substitute_exp,
-    z_squared_series,
 )
 from nabla_lmo.laurent import HalfLaurent, ZPoly, rewrite_in_z
 
@@ -102,11 +101,9 @@ def test_substitute_exp_is_multiplicative():
         assert substitute_exp(p * q, order) == substitute_exp(p, order) * substitute_exp(q, order)
 
 
-def test_z_squared_series():
-    assert z_squared_series(6) == HSeries(
-        [0, 0, 1, 0, Fraction(1, 12), 0, Fraction(1, 360)]
-    )
-    assert z_squared_series(8).coeffs == tuple(cosh_minus_coeffs(8))
+def test_cosh_minus_coeffs():
+    assert cosh_minus_coeffs(6) == [0, 0, 1, 0, Fraction(1, 12), 0, Fraction(1, 360)]
+    assert HSeries(cosh_minus_coeffs(8), 8) == substitute_exp(ZPoly(0, (0, 1)).expand(), 8)
 
 
 def test_series_to_z_poly_examples():

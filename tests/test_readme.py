@@ -8,7 +8,7 @@ with the lines shown, where a last line ``...`` asks only for a prefix.
 import shlex
 from pathlib import Path
 
-from nabla_lmo.cli import ORDER_ENV, main
+from nabla_lmo.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,7 +38,6 @@ def examples(lines: list[str]):
 
 def test_readme_usage_examples(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(ORDER_ENV, raising=False)
     lines = usage_block()
     commands = 0
     for argv, shown in examples(lines):

@@ -1,11 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import StrutPolynomial
 from nabla_lmo.laurent import HalfLaurent
-from nabla_lmo.wheels import WheelPolynomial
+from nabla_lmo.wheels import WheelPolynomial, WheelSeries
 
 
 def _half_laurent_key(rng):
@@ -68,3 +70,17 @@ def test_term_poly_ring_laws(cls):
     assert cls.__hash__ is None
     with pytest.raises(TypeError):
         hash(one)
+
+
+def test_non_integer_keys_are_rejected():
+    for make, key in (
+        (lambda: HalfLaurent({Fraction(3, 2): 1}), "Fraction(3, 2)"),
+        (lambda: WheelSeries({2.5: 1}), "2.5"),
+        (lambda: WheelPolynomial({(4.9,): 1}), "4.9"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(f"key {key} is not an integer")):
+            make()
+    # integral values of other types are integers
+    assert HalfLaurent({Fraction(4): 1}) == HalfLaurent({4: 1})
+    assert WheelSeries({Fraction(4): 1, 2.0: 3}) == WheelSeries({4: 1, 2: 3})
+    assert WheelPolynomial({(Fraction(4), 2.0): 1}) == WheelPolynomial({(2, 4): 1})
