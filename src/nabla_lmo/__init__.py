@@ -15,14 +15,12 @@ from .gaussian import (
     left_pairing_factor,
     right_pairing_factor,
     strut_part_of_aarhus,
-    tangle_strut_part,
     wick_pair,
 )
 from .hseries import (
     DEFAULT_ORDER,
     HSeries,
     c_series,
-    series_to_z_poly,
     substitute_exp,
 )
 from .laurent import HalfLaurent, ZPoly, rewrite_in_z
@@ -52,8 +50,6 @@ from .wheels import (
     WheelSeries,
     rescale_degree,
     w_nabla,
-    wheel_exp,
-    wheel_log,
     wheels_from_series,
 )
 
@@ -89,16 +85,12 @@ __all__ = [
     "rescale_degree",
     "rewrite_in_z",
     "right_pairing_factor",
-    "series_to_z_poly",
     "signature_pair",
     "skew_normal_form",
     "strut_part_of_aarhus",
     "substitute_exp",
     "surgery_transform",
-    "tangle_strut_part",
     "w_nabla",
-    "wheel_exp",
-    "wheel_log",
     "wheels_from_series",
     "wick_pair",
 ]

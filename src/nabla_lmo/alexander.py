@@ -32,11 +32,6 @@ class NablaResult:
     z_form: ZPoly
     components: int
 
-    @property
-    def at_one(self) -> Fraction:
-        """The value at t = 1 (equal to det(V - V*) when built from V)."""
-        return self.polynomial.evaluate(1)
-
     def __str__(self) -> str:
         return str(self.z_form)
 

@@ -13,10 +13,11 @@ Degrees count struts, matching the half-vertex grading of diagram algebras.
 When truncating the left pairing factor, a mixed strut (one X'' leg, one X'
 leg) weighs 1/2: gluing consumes mixed struts in pairs, each surviving output
 strut eating two of them, so this weight makes truncated pairings agree
-exactly with the truncated closed form.
+exactly with the truncated closed form. Truncation counts in half-strut
+units, so a strut costs 2, a mixed strut 1, and degree d allows floor(2d).
 
 Truncated exponentials are built one monomial at a time: each monomial is a
-non-decreasing sequence of struts whose weights fit the bound, reached once,
+non-decreasing sequence of struts whose costs fit the budget, reached once,
 with its coefficient prod c^k/k! extended by one factor per strut. Gluing is
 a contraction: each ∂-strut acts as a second derivative, taking one remaining
 leg at each end, weighted by the number of legs with that color and partner
@@ -30,13 +31,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 from typing import Iterable, Sequence, Union
 
 from . import _terms, matrices
 from .errors import DomainError
 from .matrices import Matrix
-from .seifert import SeifertMatrix
 from .surgery import FramedLinkMatrix, _integrate_out, surgery_transform
 
 Scalar = Union[int, Fraction]
@@ -127,45 +127,44 @@ class StrutQuadratic:
 
     def expand(self, max_degree: int) -> StrutPolynomial:
         """The exponential expanded as a strut polynomial of degree <= max_degree."""
-        return _exp_linear(_form_entries(self._labels, self._q), Fraction(max_degree))
+        return _exp_linear(_form_entries(self._labels, self._q), max_degree)
 
     def __repr__(self) -> str:
         return f"StrutQuadratic(labels={self._labels!r}, q={self._q!r})"
 
 
-def _form_entries(labels: Sequence[str], q: Matrix) -> list[tuple[Strut, Fraction, Fraction]]:
+def _form_entries(labels: Sequence[str], q: Matrix) -> list[tuple[Strut, Fraction, int]]:
     """The exponent (1/2) * sum_ij q_ij s(i,j) of a symmetric form as
     _exp_linear entries: one per nonzero entry of the upper triangle, the
-    diagonal halved, each of weight 1."""
+    diagonal halved, each of cost 2."""
     entries = []
     for i, a in enumerate(labels):
         for j in range(i, len(labels)):
             c = q[i][j] if i != j else q[i][i] / 2
             if c != 0:
-                entries.append((_strut(a, labels[j]), c, Fraction(1)))
+                entries.append((_strut(a, labels[j]), c, 2))
     return entries
 
 
 def _exp_linear(
-    entries: Sequence[tuple[Strut, Fraction, Fraction]], bound: Fraction
+    entries: Sequence[tuple[Strut, Fraction, int]], max_degree: Scalar
 ) -> StrutPolynomial:
-    """exp(sum of coeff*strut), keeping monomials of total weight <= bound.
+    """exp(sum of coeff*strut), keeping monomials of degree <= max_degree.
 
-    entries lists (strut, coefficient, weight); a monomial taking k_i copies
-    of strut i weighs sum k_i * w_i and has coefficient prod c_i^k_i / k_i!.
-    Each monomial is visited once, as a non-decreasing sequence of indices
-    into the entries sorted by strut, so its struts come out sorted; its
-    coefficient grows by c/k when the k-th copy of a strut is appended.
-    Weights and bound are scaled by the lcm of the weight denominators, so
-    the remaining budget is an integer.
+    entries lists (strut, coefficient, cost) with the cost in half-strut
+    units; a monomial taking k_i copies of strut i costs sum k_i * cost_i,
+    is kept when that is at most floor(2 * max_degree), and has coefficient
+    prod c_i^k_i / k_i!. Each monomial is visited once, as a non-decreasing
+    sequence of indices into the entries sorted by strut, so its struts come
+    out sorted; its coefficient grows by c/k when the k-th copy of a strut
+    is appended.
     """
-    scale = lcm(*(Fraction(w).denominator for _, _, w in entries))
-    budget = floor(Fraction(bound) * scale)
+    budget = floor(2 * Fraction(max_degree))
     if budget < 0:
         return StrutPolynomial.zero()
     ordered = sorted(entries, key=lambda e: e[0])
     struts = [s for s, _, _ in ordered]
-    costs = [int(Fraction(w) * scale) for _, _, w in ordered]
+    costs = [cost for _, _, cost in ordered]
     # steps[j][k - 1] = c_j / k: the factor added by the k-th copy of strut j
     steps = [
         [Fraction(c) / k for k in range(1, budget // cost + 1)]
@@ -191,14 +190,6 @@ def _exp_linear(
     return StrutPolynomial._from_normalized(acc)
 
 
-def tangle_strut_part(v: SeifertMatrix, labels: Sequence[str] | None = None) -> StrutQuadratic:
-    """Strut exponent attached to a Seifert matrix: the symmetric part
-    U = (V + V*)/2 as a quadratic form over one label per surface generator."""
-    if labels is None:
-        labels = tuple(str(i + 1) for i in range(v.size))
-    return StrutQuadratic(labels, v.symmetric_part)
-
-
 def strut_part_of_aarhus(m: FramedLinkMatrix) -> StrutQuadratic:
     """Strut exponent left after integrating out the surgery components,
     by the closed matrix route: exp((1/2) * Schur complement).
@@ -221,21 +212,19 @@ def left_pairing_factor(m: FramedLinkMatrix, max_degree: Scalar) -> StrutPolynom
         for x, lab in enumerate(m.surgery_labels):
             c = e[k + i][x]
             if c != 0:
-                entries.append((_strut(a, lab), c, Fraction(1, 2)))
-    return _exp_linear(entries, Fraction(max_degree))
+                entries.append((_strut(a, lab), c, 1))
+    return _exp_linear(entries, max_degree)
 
 
 def right_pairing_factor(m: FramedLinkMatrix, max_degree: int) -> StrutPolynomial:
     """Truncated exp(-(1/2) * sum l^xy s(∂x,∂y)) over the inverse of the
     surgery block; this is the Gaussian weight glued against X' legs."""
-    if not m.surgery_labels:
-        return StrutPolynomial.one()
     # the Schur complement of A in [[A, I], [I, 0]] is -A^-1
     eye = matrices.identity(len(m.surgery_labels))
     bordered = [a + e for a, e in zip(m.surgery_block, eye)] + [e + (0,) * len(e) for e in eye]
     neg_inv = _integrate_out(m, bordered)
     entries = _form_entries([dual_label(x) for x in m.surgery_labels], neg_inv)
-    return _exp_linear(entries, Fraction(max_degree))
+    return _exp_linear(entries, max_degree)
 
 
 def wick_pair(

@@ -349,18 +349,6 @@ def _power_scales(values: Sequence[Fraction]) -> tuple[list[int], list[int]]:
     return scales, [v.numerator * (s // v.denominator) for v, s in zip(values, scales)]
 
 
-def _z_poly_of_degree(b: Sequence[Fraction], max_z_degree: int, order: int) -> ZPoly:
-    """ZPoly(0, b), after checking that b_k = 0 above z^max_z_degree: the
-    triangle is invertible, so this is the residual check at the order."""
-    keep = max(max_z_degree // 2 + 1, 0)
-    if any(b[keep:]):
-        raise DomainError(
-            f"series is not a polynomial in z^2 of z-degree <= {max_z_degree} "
-            f"at order {order}"
-        )
-    return ZPoly(0, b[:keep])
-
-
 def exp_form_log(values: Sequence[Fraction]) -> list[Fraction]:
     """l_0 = 0, l_2, ...: the log of sum_m values[m] h^(2m)/(2m)!
     (values[0] = 1) as sum_m l_2m h^(2m)/(2m)!, by ``_even_log``."""
@@ -384,26 +372,15 @@ def z_poly_log(b: Sequence[Scalar], top: int) -> list[Fraction]:
 def z_poly_exp(ell: Sequence[Fraction], max_z_degree: int, order: int) -> ZPoly:
     """Inverse of ``z_poly_log``: the polynomial in z^2 whose log is
     sum_m ell[m] h^(2m)/(2m)! up to ``order`` (ell[0] = 0).
-    DomainError, as in ``series_to_z_poly``, when it has z-degree above
-    ``max_z_degree``."""
+    DomainError when it has z-degree above ``max_z_degree``: the triangle is
+    invertible, so a nonzero b_k above that degree is the residual at the
+    order."""
     scales, lam = _power_scales(ell)
     b = _z_from_exp_form(_even_exp(lam, scales), scales)
-    return _z_poly_of_degree(b, max_z_degree, order)
-
-
-def series_to_z_poly(g: HSeries, max_z_degree: int) -> ZPoly:
-    """Recognize an even series as a polynomial in z^2, up to the series order.
-
-    The exponential-form coefficients G_2m = (2m)! g_2m, cleared of their
-    common denominator, go through the first-kind central factorial triangle.
-    DomainError when odd-order terms are present or a nonzero residual
-    remains.
-    """
-    if any(g.coeff(m) != 0 for m in range(1, g.order + 1, 2)):
-        raise DomainError("series has odd-order terms; not a polynomial in z^2")
-    exp_form = [g.coeff(2 * m) * factorial(2 * m) for m in range(g.order // 2 + 1)]
-    den = lcm(*(x.denominator for x in exp_form))
-    b = _z_from_exp_form(
-        [x.numerator * (den // x.denominator) for x in exp_form], [den] * len(exp_form)
-    )
-    return _z_poly_of_degree(b, max_z_degree, g.order)
+    keep = max(max_z_degree // 2 + 1, 0)
+    if any(b[keep:]):
+        raise DomainError(
+            f"series is not a polynomial in z^2 of z-degree <= {max_z_degree} "
+            f"at order {order}"
+        )
+    return ZPoly(0, b[:keep])

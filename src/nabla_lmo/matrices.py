@@ -1,11 +1,11 @@
 """Exact matrices over the rationals, stored as tuples of tuples.
 
-`det`, `rank`, `schur_complement`, `inverse` and `det_poly` share one
-elimination kernel. It scales each row once by the lcm of its denominators
-and then runs integer fraction-free (Bareiss) elimination on plain ints:
-every intermediate entry is a minor of the scaled matrix, so each division
-is exact and no Fraction is built until the answer. The inverse is a Schur
-complement, and det(t*P - Q) is interpolated from determinants.
+`det`, `rank`, `schur_complement` and `det_poly` share one elimination
+kernel. It scales each row once by the lcm of its denominators and then runs
+integer fraction-free (Bareiss) elimination on plain ints: every
+intermediate entry is a minor of the scaled matrix, so each division is
+exact and no Fraction is built until the answer. det(t*P - Q) is
+interpolated from determinants.
 """
 
 from __future__ import annotations
@@ -130,17 +130,6 @@ def schur_complement(a, k: int) -> Matrix:
     p = work[k - 1][k - 1] if k else 1
     return tuple(
         tuple(Fraction(x, p * m) for x in row[k:]) for row, m in zip(work[k:], scales[k:])
-    )
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse, the Schur complement of the first block in
-    [[A, -I], [I, 0]]; ValueError when singular."""
-    n = len(a)
-    return schur_complement(
-        [list(row) + [-int(i == j) for j in range(n)] for i, row in enumerate(a)]
-        + [[int(i == j) for j in range(2 * n)] for i in range(n)],
-        n,
     )
 
 

@@ -3,8 +3,9 @@
 A wheel of even size 2n is written w2n. WheelSeries is an exponential
 element exp(sum a_2n * w2n) stored by its exponent coefficients; odd wheels
 do not exist here by construction, so the vanishing of odd terms is enforced
-at the type level. WheelPolynomial is an honest polynomial in commuting
-wheels, truncated by total degree (the sum of wheel sizes).
+at the type level. WheelPolynomial is a polynomial in commuting wheels;
+``w_nabla`` maps it monomial by monomial, and a monomial whose total degree
+(the sum of its wheel sizes) exceeds the order maps to zero.
 """
 
 from __future__ import annotations
@@ -47,16 +48,6 @@ class WheelSeries:
     def coefficient(self, index: int) -> Fraction:
         return self._a.get(index, Fraction(0))
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self._a
-
-    def disjoint_union(self, other: "WheelSeries") -> "WheelSeries":
-        """Union of diagrams multiplies exponentials: exponents add."""
-        out = WheelSeries()
-        out._a = _terms.add(self._a, other._a)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WheelSeries):
             return NotImplemented
@@ -83,51 +74,6 @@ class WheelPolynomial(_terms.TermPoly):
     @classmethod
     def wheel(cls, index: int, coeff: Scalar = 1) -> "WheelPolynomial":
         return cls({(index,): coeff})
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
-
-    def degree(self) -> int:
-        return max((sum(t) for t in self._terms), default=-1)
-
-    def truncate(self, order: int) -> "WheelPolynomial":
-        return WheelPolynomial._from_normalized(
-            {t: c for t, c in self._terms.items() if sum(t) <= order}
-        )
-
-
-def wheel_exp(p: WheelPolynomial, order: int) -> WheelPolynomial:
-    """exp of a wheel polynomial without constant term, truncated by total degree."""
-    if p.constant_term() != 0:
-        raise DomainError("wheel exp needs a zero constant term")
-    p = p.truncate(order)
-    result = WheelPolynomial.one()
-    term = WheelPolynomial.one()
-    k = 1
-    while True:
-        term = (term * p).truncate(order) * Fraction(1, k)
-        if term.is_zero:
-            break
-        result = result + term
-        k += 1
-    return result
-
-
-def wheel_log(u: WheelPolynomial, order: int) -> WheelPolynomial:
-    """log of a wheel polynomial with constant term 1, truncated by total degree."""
-    if u.constant_term() != 1:
-        raise DomainError("wheel log needs constant term 1")
-    q = (u - 1).truncate(order)
-    result = WheelPolynomial.zero()
-    power = WheelPolynomial.one()
-    k = 1
-    while True:
-        power = (power * q).truncate(order)
-        if power.is_zero:
-            break
-        result = result + power * Fraction((-1) ** (k + 1), k)
-        k += 1
-    return result
 
 
 def wheels_of_log(ell: Sequence[Fraction]) -> list[Fraction]:

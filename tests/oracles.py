@@ -2,16 +2,17 @@
 
 Everything here is deliberately written by a different route than the
 package code: cofactor expansion instead of fraction-free elimination,
-explicit row elimination instead of the Schur formula, congruence
-diagonalization instead of sign changes of det(t*I - A), direct series
-manipulation on plain coefficient lists instead of HSeries arithmetic,
-every permutation of legs instead of distinct gluings, every exponent
-vector instead of one walk per strut monomial, and the Fraction-series
-wheel translation (c(h) as the reciprocal of 2 sinh(h/2) / h, times
-nabla(e^(h/2)) as one dense product, O(D^2) Fraction log and exp
-recurrences on coefficient lists, peeling powers of z^2) instead of the
-integer central factorial, exponential-form and Bernoulli route. No oracle
-calls the package's c_series, wheels_from_series or w_nabla.
+explicit row elimination instead of the Schur formula, the adjugate instead
+of a bordered Schur complement, congruence diagonalization instead of sign
+changes of det(t*I - A), direct series manipulation on plain coefficient
+lists instead of HSeries arithmetic, every permutation of legs instead of
+distinct gluings, every exponent vector instead of one walk per strut
+monomial, and the Fraction-series wheel translation (c(h) as the reciprocal
+of 2 sinh(h/2) / h, times nabla(e^(h/2)) as one dense product, O(D^2)
+Fraction log and exp recurrences on coefficient lists, peeling powers of
+z^2) instead of the integer central factorial, exponential-form and
+Bernoulli route. No oracle calls the package's c_series, wheels_from_series
+or w_nabla.
 """
 
 from fractions import Fraction
@@ -43,6 +44,20 @@ def det_cofactor(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def adjugate_inverse(a):
+    """A^-1 = adj(A)/det(A) with every cofactor from ``det_cofactor``."""
+    n = len(a)
+    d = det_cofactor(a)
+
+    def minor(i, j):
+        return [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+
+    return tuple(
+        tuple((-1) ** (i + j) * det_cofactor(minor(j, i)) / d for j in range(n))
+        for i in range(n)
+    )
 
 
 def eliminate_block(entries, k):

@@ -29,7 +29,7 @@ def test_unknot():
     r = nabla_from_seifert(SeifertMatrix([]), 1)
     assert r.z_form == ZPoly(0, (1,))
     assert r.polynomial == HalfLaurent.one()
-    assert r.at_one == 1
+    assert r.polynomial.evaluate(1) == 1
 
 
 def test_knot_examples():

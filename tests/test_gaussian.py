@@ -4,7 +4,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import exp_linear_by_exponents, random_symmetric, wick_pair_by_permutations
+from oracles import (
+    adjugate_inverse,
+    exp_linear_by_exponents,
+    random_symmetric,
+    wick_pair_by_permutations,
+)
 
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import (
@@ -15,11 +20,9 @@ from nabla_lmo.gaussian import (
     left_pairing_factor,
     right_pairing_factor,
     strut_part_of_aarhus,
-    tangle_strut_part,
     wick_pair,
 )
-from nabla_lmo.matrices import as_matrix, inverse
-from nabla_lmo.seifert import SeifertMatrix
+from nabla_lmo.matrices import as_matrix
 from nabla_lmo.surgery import FramedLinkMatrix, surgery_transform
 
 
@@ -57,17 +60,6 @@ def test_strut_quadratic_validation():
     assert q.expand(2) == (
         StrutPolynomial.one() + strut("a", "a", 2) + strut("a", "a") * strut("a", "a", 2)
     )
-
-
-def test_tangle_strut_part_examples():
-    q = tangle_strut_part(SeifertMatrix([[-1, 1], [0, -1]]))
-    assert q.matrix == as_matrix([[-1, Fraction(1, 2)], [Fraction(1, 2), -1]])
-
-    sym = SeifertMatrix([[2, 1], [1, 3]])
-    assert tangle_strut_part(sym).matrix == sym.entries
-
-    zero = SeifertMatrix([[0, 0], [0, 0]])
-    assert tangle_strut_part(zero).matrix == as_matrix([[0, 0], [0, 0]])
 
 
 def test_strut_part_of_aarhus_examples():
@@ -216,7 +208,7 @@ def left_entries(m):
 
 def right_entries(m):
     k = len(m.surgery_labels)
-    inv = inverse([row[:k] for row in m.entries[:k]])
+    inv = adjugate_inverse([row[:k] for row in m.entries[:k]])
     out = []
     for i, x in enumerate(m.surgery_labels):
         for j in range(i, k):
@@ -239,6 +231,18 @@ def test_pairing_factors_match_exponent_oracle():
             assert right_pairing_factor(m, bound) == exp_linear_by_exponents(
                 right_entries(m), bound
             )
+
+
+def test_right_pairing_factor_without_surgery_is_truncated():
+    """With no surgery component the right factor is exp(0) = 1, cut off
+    like every truncated exponential: 0 below degree 0, 1 from there on."""
+    m = link(["a"], [], [[1]])
+    assert right_pairing_factor(m, -1) == StrutPolynomial.zero()
+    assert right_pairing_factor(m, Fraction(-1, 2)) == StrutPolynomial.zero()
+    for degree in (0, 1, 3):
+        assert right_pairing_factor(m, degree) == StrutPolynomial.one()
+    assert left_pairing_factor(m, -1) == StrutPolynomial.zero()
+    assert gaussian_pair(m) == strut_part_of_aarhus(m) == StrutQuadratic(["a"], [[1]])
 
 
 def test_expand_matches_exponent_oracle():

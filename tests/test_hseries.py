@@ -14,7 +14,6 @@ from nabla_lmo.errors import DomainError
 from nabla_lmo.hseries import (
     HSeries,
     c_series,
-    series_to_z_poly,
     substitute_exp,
 )
 from nabla_lmo.laurent import HalfLaurent, ZPoly, rewrite_in_z
@@ -104,31 +103,6 @@ def test_substitute_exp_is_multiplicative():
 def test_cosh_minus_coeffs():
     assert cosh_minus_coeffs(6) == [0, 0, 1, 0, Fraction(1, 12), 0, Fraction(1, 360)]
     assert HSeries(cosh_minus_coeffs(8), 8) == substitute_exp(ZPoly(0, (0, 1)).expand(), 8)
-
-
-def test_series_to_z_poly_examples():
-    assert series_to_z_poly(HSeries.one(6), 6) == ZPoly(0, (1,))
-    assert series_to_z_poly(HSeries([0, 0, 1, 0, Fraction(1, 12)]), 4) == ZPoly(0, (0, 1))
-    g = substitute_exp(HalfLaurent({2: 1, 0: -1, -2: 1}), 16)
-    assert series_to_z_poly(g, 2) == ZPoly(0, (1, 1))
-
-
-def test_series_to_z_poly_rejects():
-    with pytest.raises(DomainError):
-        series_to_z_poly(HSeries([0, 1, 0, 0]), 3)  # odd term
-    with pytest.raises(DomainError):
-        # e^h + e^-h - 1 is not a polynomial in z^2 of degree <= 0
-        series_to_z_poly(substitute_exp(HalfLaurent({2: 1, 0: -1, -2: 1}), 8), 0)
-
-
-def test_series_to_z_poly_inverts_substitute_exp():
-    rng = random.Random(19)
-    for _ in range(60):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
-        p = ZPoly(0, coeffs)
-        degree = max(p.z_degree, 0)
-        g = substitute_exp(p.expand(), 16)
-        assert series_to_z_poly(g, degree) == p
 
 
 def test_scale_variable():

@@ -1,22 +1,25 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from oracles import det_cofactor
+from oracles import adjugate_inverse, det_cofactor
+from nabla_lmo.errors import DomainError
+from nabla_lmo.gaussian import StrutPolynomial, dual_label, right_pairing_factor
 from nabla_lmo.matrices import (
     as_matrix,
     det,
     det_poly,
     identity,
-    inverse,
     matmul,
     rank,
     schur_complement,
     sub,
     submatrix,
 )
+from nabla_lmo.surgery import FramedLinkMatrix
 
 RATIONALS = [Fraction(0)] * 4 + [Fraction(k, d) for k in (-5, -1, 1, 2, 7) for d in (1, 2, 3)]
 
@@ -36,20 +39,9 @@ def rank_by_minors(a):
     return 0
 
 
-def adjugate_inverse(a):
-    """A^-1 = adj(A)/det(A) with every cofactor from the oracle."""
-    n = len(a)
-    d = det_cofactor(a)
-    rest = [[k for k in range(n) if k != skip] for skip in range(n)]
-    return tuple(
-        tuple((-1) ** (i + j) * det_cofactor(submatrix(a, rest[j], rest[i])) / d for j in range(n))
-        for i in range(n)
-    )
-
-
 def test_empty_matrix():
     assert det(()) == 1
-    assert inverse(()) == ()
+    assert schur_complement((), 0) == ()
     assert rank(()) == 0
 
 
@@ -85,19 +77,44 @@ def test_rank_of_rectangular_zero_and_deficient_matrices():
         assert rank(low) == rank_by_minors(low) <= k
 
 
+def right_pairing_degree_one(labels, inv):
+    """1 - (1/2) sum_xy inv_xy s(∂x,∂y): the degree <= 1 part of the right
+    pairing factor over a surgery block with inverse ``inv``."""
+    out = StrutPolynomial.one()
+    for i, x in enumerate(labels):
+        for j in range(i, len(labels)):
+            c = -inv[i][j] if i != j else -inv[i][i] / 2
+            out = out + StrutPolynomial.strut(dual_label(x), dual_label(labels[j]), c)
+    return out
+
+
 def test_inverse_of_rational_matrices_with_zero_leading_entry():
+    """The right pairing factor inverts the surgery block by a bordered
+    Schur complement; a zero leading entry needs a row swap there."""
+    singular = ([[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 1, 2], [1, 0, 1], [2, 1, 4]])
+    for rows in singular:
+        labels = [f"x{i}" for i in range(len(rows))]
+        m = FramedLinkMatrix(labels, labels, rows)
+        text = f"singular surgery block over labels ({', '.join(labels)})"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            right_pairing_factor(m, 1)
     rng = random.Random(7)
     checked = 0
     while checked < 40:
-        n = rng.randint(2, 5)
-        rows = [list(row) for row in random_matrix(rng, n, n)]
+        k = rng.randint(2, 5)
+        rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        for i in range(k + 1):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = rng.choice(RATIONALS)
         rows[0][0] = Fraction(0)
-        a = as_matrix(rows)
-        if det_cofactor(a) == 0:
+        block = as_matrix(row[:k] for row in rows[:k])
+        if det_cofactor(block) == 0:
             continue
-        inv = inverse(a)
-        assert inv == adjugate_inverse(a)
-        assert matmul(a, inv) == identity(n)
+        labels = [f"x{i}" for i in range(k)]
+        m = FramedLinkMatrix(labels + ["a"], labels, rows)
+        inv = adjugate_inverse(block)
+        assert matmul(block, inv) == identity(k)
+        assert right_pairing_factor(m, 1) == right_pairing_degree_one(labels, inv)
         checked += 1
 
 
@@ -112,7 +129,7 @@ def test_singular_matrix_raises():
         a = as_matrix(rows)
         assert det(a) == det_cofactor(a) == 0
         with pytest.raises(ValueError, match="^singular matrix$"):
-            inverse(a)
+            schur_complement(a, len(a))
 
 
 def test_schur_complement_matches_block_formula():

@@ -5,6 +5,8 @@ runs the command (``> FILE`` sends its stdout to FILE) and compares stdout
 with the lines shown, where a last line ``...`` asks only for a prefix.
 """
 
+import importlib
+import re
 import shlex
 from pathlib import Path
 
@@ -62,14 +64,31 @@ def test_readme_usage_examples(capsys, monkeypatch, tmp_path):
     assert commands == sum(line.startswith("$ nabla-lmo ") for line in lines) > 0
 
 
+PACKAGE = README.parent / "src" / "nabla_lmo"
+
+
+def layout_rows() -> list[str]:
+    """The table rows of README's "Package layout" section."""
+    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
+    return [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+
+
 def test_readme_package_layout_lists_every_module():
     """One "Package layout" row per module file, none for a missing one."""
-    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
-    rows = [
-        line.split("|")[1].strip().strip("`")
-        for line in section.split("\n## ", 1)[0].splitlines()
-        if line.startswith("| `")
-    ]
-    package = README.parent / "src" / "nabla_lmo"
-    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    rows = [line.split("|")[1].strip().strip("`") for line in layout_rows()]
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert sorted(rows) == modules
+
+
+def test_readme_package_layout_names_exist():
+    """Every backticked identifier in a "Package layout" row names a module
+    or an attribute of one; one-letter names are the variables z, h and t."""
+    modules = [
+        importlib.import_module(f"nabla_lmo.{p.stem}")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.stem != "__init__"
+    ]
+    names = set().union(*(vars(m) for m in modules)) | {m.__name__.split(".")[1] for m in modules}
+    for row in layout_rows():
+        for name in re.findall(r"`([A-Za-z_][A-Za-z0-9_]+)`", row):
+            assert name in names, (name, row)

@@ -15,7 +15,6 @@ from oracles import (
     log_recurrence,
     nabla_from_wheel_data_by_series,
     nu_wheels_by_series,
-    z_poly_by_peeling,
 )
 from nabla_lmo.cli import main
 from nabla_lmo.errors import DomainError
@@ -23,7 +22,6 @@ from nabla_lmo.hseries import (
     HSeries,
     _cf_first_kind,
     _cf_second_kind,
-    series_to_z_poly,
     z_poly_exp,
     z_poly_log,
 )
@@ -137,26 +135,13 @@ def test_z_poly_log_and_exp_are_inverse():
     assert z_poly_log(z_poly_exp(ell, order, order).coeffs, order // 2) == ell
 
 
-def test_series_to_z_poly_matches_peeling():
-    rng = random.Random(5)
-    for order in (0, 1, 2, 7, 16, 33):
-        for _ in range(6):
-            cs = [Fraction(0)] * (order + 1)
-            for m in range(0, order + 1, 2):
-                if rng.random() < 0.5:
-                    cs[m] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5, 24)))
-            g = HSeries(cs, order)
-            for k in sorted({-1, 0, 2, order}):
-                assert _outcome(series_to_z_poly, g, k) == _outcome(z_poly_by_peeling, g, k)
-
-
 def test_unknot_is_the_modified_bernoulli_numbers():
     nu = nu_wheels(20)
     assert nu.coefficient(2) == Fraction(1, 48)
     assert nu.coefficient(4) == Fraction(-1, 5760)
     assert nu.coefficient(12) == Fraction(-691, 2730) / (4 * 6 * factorial(12))
     assert nu.coefficient(20) == Fraction(-174611, 330) / (4 * 10 * factorial(20))
-    assert nu_wheels(21) == nu and nu_wheels(0).is_trivial
+    assert nu_wheels(21) == nu and nu_wheels(0) == WheelSeries()
 
 
 def test_central_factorial_triangles_are_inverse():

@@ -19,8 +19,6 @@ from nabla_lmo.wheels import (
     WheelSeries,
     rescale_degree,
     w_nabla,
-    wheel_exp,
-    wheel_log,
     wheels_from_series,
 )
 
@@ -38,17 +36,10 @@ def test_wheel_series_basics():
     w = WheelSeries({2: Fraction(1, 48), 4: 0})
     assert w.coefficients == {2: Fraction(1, 48)}
     assert w.coefficient(4) == 0
-    assert not w.is_trivial
-    assert WheelSeries().is_trivial
+    assert w != WheelSeries()
     assert str(w) == "exp( 1/48 w2 )"
     assert str(WheelSeries()) == "exp( 0 )"
     assert str(WheelSeries({2: 1, 4: Fraction(-1, 5760)})) == "exp( w2 - 1/5760 w4 )"
-
-
-def test_disjoint_union_adds_exponents():
-    u = WheelSeries({2: 1, 4: 2})
-    v = WheelSeries({2: -1, 6: 3})
-    assert u.disjoint_union(v) == WheelSeries({4: 2, 6: 3})
 
 
 def test_wheel_polynomial_ring():
@@ -57,37 +48,9 @@ def test_wheel_polynomial_ring():
     p = w2 * w2 + 2 * w4
     assert p.coeff((2, 2)) == 1
     assert p.coeff((4,)) == 2
-    assert p.degree() == 4
+    assert p.items() == [((2, 2), 1), ((4,), 2)]
     assert (p - p).is_zero
-    assert p.truncate(2).is_zero
-    assert WheelPolynomial.one().constant_term() == 1
-
-
-def test_wheel_exp_example():
-    a = Fraction(1, 3)
-    e = wheel_exp(WheelPolynomial.wheel(2, a), 4)
-    expected = (
-        WheelPolynomial.one()
-        + WheelPolynomial.wheel(2, a)
-        + WheelPolynomial.wheel(2) * WheelPolynomial.wheel(2, a * a / 2)
-    )
-    assert e == expected
-    assert wheel_exp(WheelPolynomial.zero(), 6) == WheelPolynomial.one()
-
-
-def test_wheel_exp_log_inverse():
-    rng = random.Random(59)
-    for _ in range(25):
-        p = WheelPolynomial.zero()
-        for _ in range(rng.randint(0, 3)):
-            p = p + WheelPolynomial.wheel(
-                rng.choice((2, 4, 6)), Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            )
-        assert wheel_log(wheel_exp(p, 8), 8) == p.truncate(8)
-    with pytest.raises(DomainError):
-        wheel_exp(WheelPolynomial.one(), 4)
-    with pytest.raises(DomainError):
-        wheel_log(WheelPolynomial.zero(), 4)
+    assert WheelPolynomial.one().coeff(()) == 1
 
 
 #: Orders at which the integer routes are checked against the Fraction oracles.
@@ -113,7 +76,12 @@ def test_w_nabla_exponential_compatibility():
     a = Fraction(2, 7)
     series_side = w_nabla(WheelSeries({2: a}), 8)
     assert series_side == single_wheel_image(a, 8)
-    poly_side = w_nabla(wheel_exp(WheelPolynomial.wheel(2, a), 8), 8)
+    # exp(a w2) up to degree 8: (a w2)^k / k! for k <= 4
+    term = expansion = WheelPolynomial.one()
+    for k in range(1, 5):
+        term = term * WheelPolynomial.wheel(2, a) * Fraction(1, k)
+        expansion = expansion + term
+    poly_side = w_nabla(expansion, 8)
     assert poly_side == series_side
 
 
@@ -122,7 +90,7 @@ def test_w_nabla_empty_series():
 
 
 def test_wheels_from_series_examples():
-    assert wheels_from_series(HSeries.one(8)).is_trivial
+    assert wheels_from_series(HSeries.one(8)) == WheelSeries()
     f = single_wheel_image(1, 8)
     assert wheels_from_series(f) == WheelSeries({2: 1})
     nu = wheels_from_series(c_series(16))
