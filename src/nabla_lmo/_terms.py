@@ -32,15 +32,14 @@ def int_key(k) -> int:
     raise DomainError(f"key {k!r} is not an integer")
 
 
-def normalize(terms: Mapping, key: Optional[Callable[[Hashable], Hashable]] = None) -> dict:
+def normalize(terms: Mapping, key: Callable[[Hashable], Hashable]) -> dict:
     """Fraction coefficients, equal keys summed, zeros dropped; ``key``
     normalizes the keys of nonzero terms only, so it never rejects a zero term."""
     out: dict = {}
     for k, v in terms.items():
         f = Fraction(v)
         if f != 0:
-            if key is not None:
-                k = key(k)
+            k = key(k)
             out[k] = out[k] + f if k in out else f
     return drop_zeros(out)
 

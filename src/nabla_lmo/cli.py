@@ -20,6 +20,7 @@ from .gaussian import MAX_WICK_PAIRS, gaussian_pair, strut_part_of_aarhus
 from .hseries import DEFAULT_ORDER, MAX_ORDER
 from .matrices import Matrix, is_integral
 from .mmr import (
+    MAX_TOR_DIGITS,
     aarhus_wheels,
     lmo_wheel_data,
     mmr_series,
@@ -46,6 +47,14 @@ def _resolve_order(value: Optional[int]) -> int:
         raise ParseError(f"truncation order must be non-negative, got {value}")
     if value > MAX_ORDER:
         raise ParseError(f"truncation order must be at most {MAX_ORDER}, got {value}")
+    return value
+
+
+def _resolve_tor(value: int) -> int:
+    if value >= 10 ** MAX_TOR_DIGITS:
+        raise ParseError(
+            f"--tor must be below 10^{MAX_TOR_DIGITS}, got a {len(str(value))}-digit number"
+        )
     return value
 
 
@@ -150,19 +159,21 @@ def _cmd_lmo(args) -> str:
     _refuse_flags("--nabla", {"--max-z-degree": args.max_z_degree})
     if args.tor is None:
         raise ParseError("--tor is required with --nabla")
+    tor = _resolve_tor(args.tor)
     p = parse_z_poly(args.nabla)
-    data = lmo_wheel_data(p, args.tor, _resolve_order(args.order))
+    data = lmo_wheel_data(p, tor, _resolve_order(args.order))
     return _wheel_data_text(data, args.json)
 
 
 def _cmd_roundtrip(args) -> str:
     p = parse_z_poly(args.nabla)
     order = _resolve_order(args.order)
-    data = lmo_wheel_data(p, args.tor, order)
+    tor = _resolve_tor(args.tor)
+    data = lmo_wheel_data(p, tor, order)
     recovered = nabla_from_lmo_wheel_data(data, max(p.z_degree, 0))
     if recovered != p:
         raise DomainError(f"round trip failed: {p} came back as {recovered}")
-    return f"roundtrip ok: {p} (tor_order={args.tor}, order={order})"
+    return f"roundtrip ok: {p} (tor_order={tor}, order={order})"
 
 
 def _cmd_fixtures(args) -> str:

@@ -3,10 +3,8 @@ change of variables z = e^(h/2) - e^(-h/2) = 2 sinh(h/2) between them and
 polynomials in z^2.
 
 A series carries its own truncation order D and stores the dense coefficient
-vector c_0..c_D; arithmetic never claims precision beyond D, and mixed-order
-operations truncate to the smaller order. ``HSeries`` has the ring
-operations only, in exact Fraction arithmetic; logs, exps and the
-normalization series run on integers, through three identities:
+vector c_0..c_D. Logs, exps and the normalization series run on integers,
+through three identities:
 
 - **Central factorial numbers.** In exponential form (coefficients of
   h^n / n!), (z^2)^k = (2k)! * sum_m T(2m,2k) h^(2m) / (2m)!, where T is the
@@ -59,7 +57,9 @@ MAX_ORDER = 256
 
 
 class HSeries:
-    """A power series in h truncated at a fixed order."""
+    """A power series in h truncated at a fixed order: its coefficient
+    vector. The kernels below compute on coefficient lists, so it has no
+    arithmetic."""
 
     __slots__ = ("_order", "_c")
 
@@ -75,25 +75,6 @@ class HSeries:
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self._order = order
         self._c = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "HSeries":
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "HSeries":
-        return cls((Fraction(1),), order)
-
-    @classmethod
-    def constant(cls, c: Scalar, order: int) -> "HSeries":
-        return cls((Fraction(c),), order)
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar, order: int) -> "HSeries":
-        cs = [Fraction(0)] * (order + 1)
-        if 0 <= exponent <= order:
-            cs[exponent] = Fraction(coeff)
-        return cls(cs, order)
 
     @property
     def order(self) -> int:
@@ -112,64 +93,12 @@ class HSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._c)
 
-    def truncate(self, order: int) -> "HSeries":
-        if order > self._order:
-            raise DomainError("cannot extend a series beyond its stored order")
-        return HSeries(self._c[: order + 1], order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HSeries):
             return NotImplemented
         return self._order == other._order and self._c == other._c
 
     __hash__ = None
-
-    def __neg__(self) -> "HSeries":
-        return HSeries([-c for c in self._c], self._order)
-
-    def __add__(self, other) -> "HSeries":
-        other = _coerce(other, self._order)
-        if other is None:
-            return NotImplemented
-        d = min(self._order, other._order)
-        return HSeries([a + b for a, b in zip(self._c, other._c)], d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HSeries":
-        other = _coerce(other, self._order)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "HSeries":
-        other = _coerce(other, self._order)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "HSeries":
-        if isinstance(other, (int, Fraction)):
-            return HSeries([c * other for c in self._c], self._order)
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        d = min(self._order, other._order)
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self._c[: d + 1]):
-            if a == 0:
-                continue
-            for j in range(d + 1 - i):
-                b = other._c[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return HSeries(out, d)
-
-    __rmul__ = __mul__
-
-    def scale_variable(self, r: Scalar) -> "HSeries":
-        """Substitute h -> r*h."""
-        r = Fraction(r)
-        return HSeries([c * r ** m for m, c in enumerate(self._c)], self._order)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -183,14 +112,6 @@ class HSeries:
 
     def __repr__(self) -> str:
         return f"HSeries({list(self._c)!r}, order={self._order})"
-
-
-def _coerce(value, order: int) -> HSeries | None:
-    if isinstance(value, HSeries):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return HSeries.constant(value, order)
-    return None
 
 
 def _tangent_numbers(count: int) -> list[int]:

@@ -74,43 +74,8 @@ class HalfLaurent(_terms.TermPoly):
             total += c * v ** k
         return total
 
-    def exact_div(self, other: "HalfLaurent") -> "HalfLaurent":
-        """Exact ring division; DomainError when the quotient does not exist."""
-        if other.is_zero:
-            raise DomainError("division by zero")
-        if self.is_zero:
-            return HalfLaurent.zero()
-        # Shift both operands to ordinary polynomials in u = t^(1/2) and run
-        # dense long division from the top; the remainder must vanish.
-        smin, omin = min(self._terms), min(other._terms)
-        p = _dense(self, smin)
-        q = _dense(other, omin)
-        dq = len(q) - 1
-        if len(p) - 1 < dq:
-            raise DomainError("non-exact division")
-        quot = [Fraction(0)] * (len(p) - dq)
-        lead = q[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            c = p[i + dq] / lead
-            quot[i] = c
-            if c != 0:
-                for j, qc in enumerate(q):
-                    p[i + j] -= c * qc
-        if any(x != 0 for x in p):
-            raise DomainError("non-exact division")
-        base = smin - omin
-        return HalfLaurent({base + i: c for i, c in enumerate(quot)})
-
     def __str__(self) -> str:
         return _terms.signed_sum((c, _t_monomial(k)) for k, c in self.items())
-
-
-def _dense(p: HalfLaurent, base: int) -> list[Fraction]:
-    top = max(p._terms)
-    out = [Fraction(0)] * (top - base + 1)
-    for k, v in p._terms.items():
-        out[k - base] = v
-    return out
 
 
 def _t_monomial(half_exponent: int) -> str | None:

@@ -26,7 +26,7 @@ from . import _terms
 from .errors import DomainError, ParseError
 from .hseries import MAX_ORDER, HSeries
 from .laurent import HalfLaurent, ZPoly
-from .mmr import LmoWheelData, nu_wheels
+from .mmr import MAX_TOR_DIGITS, LmoWheelData, nu_wheels
 from .seifert import SeifertMatrix
 from .surgery import FramedLinkMatrix
 from .wheels import WheelSeries
@@ -359,6 +359,11 @@ def read_lmo_file(path: str) -> LmoWheelData:
         raise ParseError(f"{path}: \"order\" must be at most {MAX_ORDER}, got {order}")
     if not isinstance(h1, int) or isinstance(h1, bool) or h1 < 1:
         raise ParseError(f"{path}: \"h1_order\" must be a positive integer")
+    if h1 >= 10 ** MAX_TOR_DIGITS:
+        raise ParseError(
+            f"{path}: \"h1_order\" must be below 10^{MAX_TOR_DIGITS}, "
+            f"got a {len(str(h1))}-digit number"
+        )
     knot = _wheels_from_json(data["knot_wheels"], f"{path} knot_wheels")
     nu = _wheels_from_json(data["nu_wheels"], f"{path} nu_wheels")
     if nu != nu_wheels(order):

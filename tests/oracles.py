@@ -1,11 +1,13 @@
 """Independent reference computations for the test suite.
 
-Everything here is deliberately written by a different route than the
-package code: cofactor expansion instead of fraction-free elimination,
-explicit row elimination instead of the Schur formula, the adjugate instead
-of a bordered Schur complement, congruence diagonalization instead of sign
-changes of det(t*I - A), direct series manipulation on plain coefficient
-lists instead of HSeries arithmetic, every permutation of legs instead of
+The acceptance suite takes its expected values only from here or from
+frozen constants. Everything here is deliberately written by a different
+route than the package code: cofactor expansion instead of fraction-free
+elimination, explicit row elimination instead of the Schur formula, the
+adjugate instead of a bordered Schur complement, congruence
+diagonalization instead of sign changes of det(t*I - A), long division by z
+on coefficient lists instead of rewriting in z, series products, logs and
+exps on plain coefficient lists, every permutation of legs instead of
 distinct gluings, every exponent vector instead of one walk per strut
 monomial, and the Fraction-series wheel translation (c(h) as the reciprocal
 of 2 sinh(h/2) / h, times nabla(e^(h/2)) as one dense product, O(D^2)
@@ -166,6 +168,22 @@ def mul_coeffs(a, b, order):
         for j, y in enumerate(b[: order + 1 - i]):
             out[i + j] += x * y
     return out
+
+
+def divide_by_z(coeffs):
+    """Exact quotient of p = sum_i coeffs[i] u^i by z = u - u^(-1), where
+    u = t^(1/2): the list q with p = z * sum_j q[j] u^(j+1), by long division
+    from the top. DomainError on a nonzero remainder. The quotient's
+    exponents sit one above the list index, so the caller tracks that shift."""
+    r = [Fraction(c) for c in coeffs]
+    q = [Fraction(0)] * max(len(r) - 2, 0)
+    for j in reversed(range(len(q))):
+        q[j] = r[j + 2]
+        r[j + 2] -= q[j]
+        r[j] += q[j]
+    if any(r):
+        raise DomainError("not divisible by z")
+    return q
 
 
 def log_coeffs(a, order):
@@ -392,26 +410,28 @@ def lmo_knot_wheels_by_series(nabla_m, tor_order, order):
 
 
 def z_poly_by_peeling(g, max_z_degree):
-    """Recognize an even series as a polynomial in z^2 from the bottom: the
-    series of (z^2)^k starts at h^(2k) with coefficient 1, so coefficients are
-    peeled off one by one against repeated powers of z^2."""
-    if any(g.coeff(m) != 0 for m in range(1, g.order + 1, 2)):
+    """Recognize an even coefficient list c_0..c_D as a polynomial in z^2
+    from the bottom: the series of (z^2)^k starts at h^(2k) with coefficient
+    1, so coefficients are peeled off one by one against repeated powers of
+    z^2."""
+    order = len(g) - 1
+    if any(g[m] != 0 for m in range(1, order + 1, 2)):
         raise DomainError("series has odd-order terms; not a polynomial in z^2")
-    kmax = min(max_z_degree // 2, g.order // 2)
-    z2 = HSeries(cosh_minus_coeffs(g.order), g.order)
-    power = HSeries.one(g.order)
-    residual = g
+    kmax = min(max_z_degree // 2, order // 2)
+    z2 = cosh_minus_coeffs(order)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    residual = [Fraction(c) for c in g]
     b = []
     for k in range(kmax + 1):
-        bk = residual.coeff(2 * k)
+        bk = residual[2 * k]
         b.append(bk)
         if bk != 0:
-            residual = residual - power * bk
-        power = power * z2
-    if not residual.is_zero:
+            residual = [r - bk * x for r, x in zip(residual, power)]
+        power = mul_coeffs(power, z2, order)
+    if any(residual):
         raise DomainError(
             f"series is not a polynomial in z^2 of z-degree <= {max_z_degree} "
-            f"at order {g.order}"
+            f"at order {order}"
         )
     return ZPoly(0, b)
 
@@ -421,4 +441,4 @@ def nabla_from_wheel_data_by_series(data, max_z_degree):
     Fraction exp, multiply by (e^(h/2) - e^(-h/2))/h, and peel."""
     w = rescale_degree(data.knot_wheels, Fraction(1, data.h1_order))
     g = mul_coeffs(w_nabla_by_exp(w, data.order), sinh_ratio_coeffs(data.order), data.order)
-    return z_poly_by_peeling(HSeries(g, data.order), max_z_degree)
+    return z_poly_by_peeling(g, max_z_degree)

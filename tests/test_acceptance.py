@@ -1,10 +1,9 @@
 """End-to-end acceptance checks.
 
 One test per shipped guarantee; `pytest -v tests/test_acceptance.py` prints a
-pass/fail line for each. Every expected value is either a frozen constant or
-recomputed through the independent routes in oracles.py, and all comparisons
-are exact (Fraction arithmetic, no tolerances).
-"""
+pass/fail line for each. Expected values come only from frozen constants or
+from the independent routes in oracles.py, and all comparisons are exact
+(Fraction arithmetic, no tolerances)."""
 
 import random
 import time
@@ -13,6 +12,7 @@ from fractions import Fraction
 from oracles import (
     cosh_minus_coeffs,
     det_cofactor,
+    divide_by_z,
     eliminate_block,
     invert_coeffs,
     log_coeffs,
@@ -23,7 +23,6 @@ from oracles import (
 )
 
 from nabla_lmo.alexander import nabla_from_seifert
-from nabla_lmo.errors import DomainError
 from nabla_lmo.fixtures import load_fixtures
 from nabla_lmo.gaussian import (
     StrutQuadratic,
@@ -44,8 +43,6 @@ from nabla_lmo.wheels import (
     w_nabla,
     wheels_from_series,
 )
-
-Z = HalfLaurent({1: 1, -1: -1})
 
 
 def conway_determinant(entries):
@@ -124,7 +121,11 @@ def test_criterion_02_determinant_membership_and_symmetry():
         z_form = rewrite_in_z(d, components - 1)
         if not d.is_zero:
             # ... and dividing out the prefactor leaves a polynomial in z^2
-            quotient = d.exact_div(Z**(components - 1))
+            low = min(d.support)
+            q = [d.coeff(k) for k in range(low, max(d.support) + 1)]
+            for _ in range(components - 1):
+                q = divide_by_z(q)
+            quotient = HalfLaurent({low + components - 1 + i: c for i, c in enumerate(q)})
             assert quotient.involution() == quotient
             assert rewrite_in_z(quotient, 0).expand() == quotient
         assert nabla_from_seifert(sm, components).z_form == z_form
@@ -236,7 +237,8 @@ def test_criterion_08_weight_system_laws():
     rng = random.Random(88)
     for _ in range(100):
         p, q = _random_wheel_polynomial(rng), _random_wheel_polynomial(rng)
-        assert w_nabla(p * q, 12) == w_nabla(p, 12) * w_nabla(q, 12)
+        product = mul_coeffs(w_nabla(p, 12).coeffs, w_nabla(q, 12).coeffs, 12)
+        assert list(w_nabla(p * q, 12).coeffs) == product
 
     for _ in range(100):
         w = _random_wheel_series(rng, 16)
@@ -245,7 +247,8 @@ def test_criterion_08_weight_system_laws():
     for _ in range(50):
         w = _random_wheel_series(rng, 8)
         r = rng.choice((1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2)))
-        assert w_nabla(rescale_degree(w, r), 10) == w_nabla(w, 10).scale_variable(r)
+        substituted = [c * r**m for m, c in enumerate(w_nabla(w, 10).coeffs)]
+        assert list(w_nabla(rescale_degree(w, r), 10).coeffs) == substituted
 
 
 def test_criterion_09_basis_and_stabilization_invariance():

@@ -7,8 +7,8 @@ import pytest
 
 from nabla_lmo.cli import main
 from nabla_lmo.gaussian import MAX_WICK_PAIRS, strut_part_of_aarhus
-from nabla_lmo.hseries import MAX_ORDER, HSeries
-from nabla_lmo.mmr import nu_wheels
+from nabla_lmo.hseries import MAX_ORDER
+from nabla_lmo.mmr import MAX_TOR_DIGITS, nu_wheels
 
 TREFOIL_JSON = '{"matrix": [["-1", "1"], ["0", "-1"]], "name": "trefoil"}'
 HOPF_SURGERY_JSON = (
@@ -263,9 +263,37 @@ def test_roundtrip_command(capsys):
     assert out == "roundtrip ok: 1 - 3*z^2 + z^4 (tor_order=2, order=10)\n"
 
 
+@pytest.mark.parametrize("entry", ("lmo --tor", "roundtrip --tor", "h1_order"))
+def test_torsion_order_limit(capsys, monkeypatch, tmp_path, entry):
+    """A torsion order of MAX_TOR_DIGITS + 1 digits or more is refused
+    before any wheel arithmetic; one digit fewer is accepted."""
+    largest = 10 ** MAX_TOR_DIGITS - 1
+    path = tmp_path / "wheels.json"
+    wheel_json = run(capsys, "lmo", "--nabla", "1 + z^2", "--tor", "1", "--order", "4", "--json")[1]
+
+    def argv(tor):
+        if entry == "h1_order":
+            path.write_text(wheel_json.replace('"h1_order": 1', f'"h1_order": {tor}'))
+            return ("lmo", "--invert", str(path))
+        return (entry.split()[0], "--nabla", "1 + z^2", "--tor", str(tor), "--order", "4")
+
+    assert run(capsys, *argv(largest))[0] == 0
+
+    def no_wheels(*args):
+        raise AssertionError("wheel arithmetic started")
+
+    for name in ("mmr._unknot", "mmr.z_poly_log", "mmr.z_poly_exp", "parsing.nu_wheels"):
+        monkeypatch.setattr(f"nabla_lmo.{name}", no_wheels)
+    where = f'{path}: "h1_order"' if entry == "h1_order" else "--tor"
+    for tor, digits in ((largest + 1, MAX_TOR_DIGITS + 1), (int("9" * 4000), 4000)):
+        assert run(capsys, *argv(tor)) == (
+            2, "", f"error: {where} must be below 10^{MAX_TOR_DIGITS}, got a {digits}-digit number\n"
+        )
+
+
 def test_wheel_translation_builds_no_series(capsys, monkeypatch, tmp_path, trefoil_file):
     """lmo, its inverse, roundtrip, the knot wheels and the wheels of a
-    series run on integer tables: no c(h) and no product of series."""
+    series run on integer tables: no c(h) is built."""
     wheel_file = tmp_path / "wheels.json"
     commands = (
         ("lmo", "--nabla", "1 + z^2", "--tor", "1", "--order", "4"),
@@ -290,7 +318,6 @@ def test_wheel_translation_builds_no_series(capsys, monkeypatch, tmp_path, trefo
     def no_series(*args):
         raise AssertionError("a Fraction series was built")
 
-    monkeypatch.setattr(HSeries, "__mul__", no_series)
     for name in ("hseries.c_series", "mmr.c_series"):
         monkeypatch.setattr(f"nabla_lmo.{name}", no_series)
     assert [run(capsys, *argv) for argv in commands] == expected

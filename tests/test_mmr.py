@@ -13,7 +13,7 @@ from oracles import (
 )
 from nabla_lmo.alexander import nabla_from_seifert
 from nabla_lmo.errors import DomainError
-from nabla_lmo.hseries import HSeries, c_series
+from nabla_lmo.hseries import c_series
 from nabla_lmo.laurent import ZPoly
 from nabla_lmo.mmr import (
     LmoWheelData,

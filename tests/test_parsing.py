@@ -72,7 +72,7 @@ def test_h_series_parsing():
         [1, 0, Fraction(-1, 24), 0, Fraction(7, 5760)]
     )
     assert parse_h_series("h^9", 4).is_zero  # beyond the order
-    assert parse_h_series("0", 4) == HSeries.zero(4)
+    assert parse_h_series("0", 4) == HSeries([], 4)
     with pytest.raises(ParseError):
         parse_h_series("1 + O(h^5)", 8)  # marker disagrees with the order
     with pytest.raises(ParseError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_symmetric, random_unimodular
+from oracles import random_unimodular
 from nabla_lmo.errors import DomainError
 from nabla_lmo.matrices import add, as_matrix, det, matmul, scale, transpose
 from nabla_lmo.seifert import (

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_symmetric, random_unimodular, signature_by_congruence
+from oracles import random_symmetric, signature_by_congruence
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import gaussian_pair
 from nabla_lmo.matrices import as_matrix, matmul, rank, transpose

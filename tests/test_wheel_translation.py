@@ -13,13 +13,13 @@ from oracles import (
     cosh_minus_coeffs,
     lmo_knot_wheels_by_series,
     log_recurrence,
+    mul_coeffs,
     nabla_from_wheel_data_by_series,
     nu_wheels_by_series,
 )
 from nabla_lmo.cli import main
 from nabla_lmo.errors import DomainError
 from nabla_lmo.hseries import (
-    HSeries,
     _cf_first_kind,
     _cf_second_kind,
     z_poly_exp,
@@ -120,12 +120,12 @@ def test_rejection_texts():
 def test_z_poly_log_and_exp_are_inverse():
     order = 20
     b = [Fraction(1), Fraction(3, 2), Fraction(-5, 7), 0, Fraction(1, 3)]
-    g, power = HSeries.one(order), HSeries.one(order)
+    g = power = [Fraction(1)] + [Fraction(0)] * order
     for c in b[1:]:
-        power = power * HSeries(cosh_minus_coeffs(order), order)
-        g = g + power * c
+        power = mul_coeffs(power, cosh_minus_coeffs(order), order)
+        g = [x + c * y for x, y in zip(g, power)]
     ell = z_poly_log(b, order // 2)
-    logs = log_recurrence(g.coeffs)
+    logs = log_recurrence(g)
     assert ell == [logs[2 * m] * factorial(2 * m) for m in range(order // 2 + 1)]
     assert z_poly_exp(ell, 8, order) == ZPoly(0, b)
     with pytest.raises(DomainError, match="z-degree <= 6 at order 20"):

@@ -6,9 +6,9 @@ import pytest
 
 from oracles import (
     c_coeffs,
-    exp_recurrence,
     log_coeffs,
     log_recurrence,
+    mul_coeffs,
     w_nabla_by_exp,
     wheels_by_log,
 )
@@ -68,8 +68,8 @@ def single_wheel_image(a, order):
 
 def test_w_nabla_on_single_wheel():
     w2 = WheelPolynomial.wheel(2)
-    assert w_nabla(w2, 4) == HSeries.monomial(2, -2, 4)
-    assert w_nabla(WheelPolynomial.one(), 4) == HSeries.one(4)
+    assert w_nabla(w2, 4) == HSeries([0, 0, -2], 4)
+    assert w_nabla(WheelPolynomial.one(), 4) == HSeries([1], 4)
 
 
 def test_w_nabla_exponential_compatibility():
@@ -86,11 +86,11 @@ def test_w_nabla_exponential_compatibility():
 
 
 def test_w_nabla_empty_series():
-    assert w_nabla(WheelSeries(), 6) == HSeries.one(6)
+    assert w_nabla(WheelSeries(), 6) == HSeries([1], 6)
 
 
 def test_wheels_from_series_examples():
-    assert wheels_from_series(HSeries.one(8)) == WheelSeries()
+    assert wheels_from_series(HSeries([1], 8)) == WheelSeries()
     f = single_wheel_image(1, 8)
     assert wheels_from_series(f) == WheelSeries({2: 1})
     nu = wheels_from_series(c_series(16))
@@ -187,7 +187,8 @@ def test_homomorphism():
             u = u + WheelPolynomial.wheel(rng.choice((2, 4)), rng.randint(-3, 3))
             v = v + WheelPolynomial.wheel(rng.choice((2, 4, 6)), rng.randint(-3, 3))
         u = u + rng.randint(0, 2)
-        assert w_nabla(u * v, 12) == w_nabla(u, 12) * w_nabla(v, 12)
+        product = mul_coeffs(w_nabla(u, 12).coeffs, w_nabla(v, 12).coeffs, 12)
+        assert list(w_nabla(u * v, 12).coeffs) == product
 
 
 def test_rescale_degree():
@@ -212,4 +213,5 @@ def test_rescale_matches_variable_substitution():
             }
         )
         r = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        assert w_nabla(rescale_degree(w, r), 14) == w_nabla(w, 14).scale_variable(r)
+        substituted = [c * r**m for m, c in enumerate(w_nabla(w, 14).coeffs)]
+        assert list(w_nabla(rescale_degree(w, r), 14).coeffs) == substituted
