@@ -91,10 +91,13 @@ def _cmd_surgery(args) -> str:
 def _cmd_aarhus_struts(args) -> str:
     m = read_linking_file(args.linking)
     k, r = len(m.surgery_labels), len(m.residual_labels)
-    if args.route != "schur" and k * r > MAX_WICK_PAIRS:
+    # k = 0 still expands the r(r+1)/2 residual struts, so it counts as k = 1
+    pairs = max(k, 1) * r
+    if args.route != "schur" and pairs > MAX_WICK_PAIRS:
+        counted = "" if k else f", counted as 1·{r}"
         raise ParseError(
             f"--route {args.route} takes k·r <= {MAX_WICK_PAIRS} mixed linking pairs, "
-            f"got k·r = {k}·{r} = {k * r}"
+            f"got k·r = {k}·{r}{counted} = {pairs}"
         )
     if args.route == "schur":
         q = strut_part_of_aarhus(m)

@@ -1,9 +1,12 @@
 """Text and file input: polynomial expressions and JSON matrix files.
 
 The expression grammar accepts sums of signed terms ``[coeff][*]var[^exp]``
-where coeff is a rational p or p/q, var is one of t, z, h, and exponents are
-integers (``t^-1``, ``z^4``), parenthesized integers, or half-integers
-``t^(k/2)``. z exponents, and the z-degree of a t-expression's Conway form
+where coeff is a rational p or p/q and exponents are integers (``t^-1``,
+``z^4``), parenthesized integers, or half-integers ``t^(k/2)``. Each entry
+point reads one variable plus constants (``parse_half_laurent`` t, the one
+variable with negative and half-integer exponents; ``parse_z_poly`` z;
+``parse_h_series`` h), and any other variable is a syntax error at its
+position. z exponents, and the z-degree of a t-expression's Conway form
 (half the span of its t^(1/2) exponents), are at most ``MAX_ORDER``;
 integers past Python's int conversion limit and zero denominators are
 rejected. Whitespace is ignored everywhere. h-series text may end in the
@@ -20,7 +23,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Union
 
 from . import _terms
 from .errors import DomainError, ParseError
@@ -43,7 +45,7 @@ _TERM = re.compile(
         (?:\^
             (?:
                 (?P<iexp>-?\d+)
-              | \(\s*(?P<pnum>-?\d+)\s*(?:/\s*(?P<pden>\d+)\s*)?\)
+              | \((?P<pnum>-?\d+)(?:/(?P<pden>\d+))?\)
             )
         )?
     )?
@@ -64,31 +66,37 @@ def _int(text: str, pos: int) -> int:
         ) from None
 
 
-def _scan_terms(text: str):
-    """Yield (coeff, var, exponent_numerator, halved) per term.
+def _scan_terms(text: str, var: str) -> tuple[dict[int, Fraction], int | None]:
+    """The terms of an expression in ``var`` and constants, summed by exponent
+    with zero sums dropped, and N - 1 for a trailing ``+ O(h^N)`` marker (None
+    without one).
 
-    ``halved`` marks a parenthesized /2 exponent; errors carry the position
-    in the whitespace-stripped text.
+    A constant has exponent 0. Only t takes negative and /2 exponents, and a
+    t exponent counts halves (the key of t^(1/2)); only h text may carry the
+    marker. Errors carry the position in the whitespace-stripped text.
     """
     stripped = re.sub(r"\s+", "", text)
     tail = _O_TAIL.search(stripped)
     o_order = None
     if tail:
+        if var != "h":
+            raise ParseError("O(h^N) marker is only meaningful for h-series")
         o_order = _int(tail.group(1), tail.start(1)) - 1
         stripped = stripped[: tail.start()]
     if not stripped:
         raise ParseError("empty expression")
+    powers: dict[int, Fraction] = {}
     pos = 0
-    first = True
-    terms = []
     while pos < len(stripped):
         m = _TERM.match(stripped, pos)
         if not m or m.end() == pos:
             raise ParseError(f"syntax error at position {pos}: {stripped[pos:pos + 10]!r}")
         if m.group("num") is None and m.group("var") is None:
             raise ParseError(f"syntax error at position {pos}: expected a term")
-        if not first and m.group("sign") is None:
+        if pos and m.group("sign") is None:
             raise ParseError(f"syntax error at position {pos}: expected '+' or '-'")
+        if m.group("var") not in (None, var):
+            raise ParseError(f"syntax error at position {m.start('var')}: expected variable {var}")
         num, den = m.group("num"), m.group("den") or "1"
         coeff = Fraction(_int(num, pos), _int(den, pos)) if num else Fraction(1)
         if m.group("sign") == "-":
@@ -96,60 +104,34 @@ def _scan_terms(text: str):
         pden = m.group("pden")
         if pden not in (None, "2"):
             raise ParseError(f"syntax error at position {pos}: only /2 exponents are supported")
+        if pden and var != "t":
+            raise ParseError(f"syntax error at position {pos}: {var} takes integer exponents")
         # the exponent groups only match after a variable; a bare variable has exponent 1
-        exp = _int(m.group("iexp") or m.group("pnum") or "1", pos)
-        terms.append((coeff, m.group("var"), exp, pden is not None, pos))
+        exp = _int(m.group("iexp") or m.group("pnum") or "1", pos) if m.group("var") else 0
+        if exp < 0 and var != "t":
+            raise ParseError(f"syntax error at position {pos}: negative {var} exponent")
+        if var == "t" and not pden:
+            exp *= 2
+        powers[exp] = powers.get(exp, Fraction(0)) + coeff
         pos = m.end()
-        first = False
-    return terms, o_order
+    return {e: c for e, c in powers.items() if c != 0}, o_order
 
 
-def parse_polynomial(text: str) -> Union[HalfLaurent, ZPoly]:
-    """Parse an expression in t or z; plain constants parse as Laurent
-    polynomials. Mixed variables are rejected."""
-    terms, o_order = _scan_terms(text)
-    if o_order is not None:
-        raise ParseError("O(h^N) marker is only meaningful for h-series")
-    variables = {v for _, v, _, _, _ in terms if v is not None}
-    if len(variables) > 1:
-        raise ParseError(f"mixed variables {sorted(variables)} in one expression")
-    if variables == {"z"}:
-        return _to_z_poly(terms)
-    if variables == {"h"}:
-        raise ParseError("h-series text needs an explicit truncation order")
-    return _to_half_laurent(terms)
-
-
-def _to_half_laurent(terms) -> HalfLaurent:
-    coeffs: dict[int, Fraction] = {}
-    for coeff, var, exp, halved, pos in terms:
-        if var is None:
-            k = 0
-        elif var == "t":
-            k = exp if halved else 2 * exp
-        else:
-            raise ParseError(f"syntax error at position {pos}: expected variable t")
-        coeffs[k] = coeffs.get(k, Fraction(0)) + coeff
-    support = [k for k, c in coeffs.items() if c != 0]
-    if support and max(support) - min(support) > 2 * MAX_ORDER:
+def parse_half_laurent(text: str) -> HalfLaurent:
+    """Parse a polynomial in t, whose exponents may be half-integers."""
+    coeffs, _ = _scan_terms(text, "t")
+    if coeffs and max(coeffs) - min(coeffs) > 2 * MAX_ORDER:
         raise ParseError(
-            f"t exponents give z-degree {Fraction(max(support) - min(support), 2)} (half the "
+            f"t exponents give z-degree {Fraction(max(coeffs) - min(coeffs), 2)} (half the "
             f"span of the t^(1/2) exponents), which exceeds the limit {MAX_ORDER} "
             "(the largest truncation order)"
         )
     return HalfLaurent(coeffs)
 
 
-def _to_z_poly(terms) -> ZPoly:
-    powers: dict[int, Fraction] = {}
-    for coeff, var, exp, halved, pos in terms:
-        if halved:
-            raise ParseError(f"syntax error at position {pos}: z takes integer exponents")
-        e = exp if var == "z" else 0
-        if e < 0:
-            raise ParseError(f"syntax error at position {pos}: negative z exponent")
-        powers[e] = powers.get(e, Fraction(0)) + coeff
-    powers = {e: c for e, c in powers.items() if c != 0}
+def parse_z_poly(text: str) -> ZPoly:
+    """Parse a polynomial in z whose exponents share one parity."""
+    powers, _ = _scan_terms(text, "z")
     if not powers:
         return ZPoly(0, ())
     if max(powers) > MAX_ORDER:
@@ -160,45 +142,16 @@ def _to_z_poly(terms) -> ZPoly:
     s = min(powers)
     if any((e - s) % 2 != 0 for e in powers):
         raise ParseError("z exponents must share one parity")
-    kmax = (max(powers) - s) // 2
-    return ZPoly(s, [powers.get(s + 2 * k, Fraction(0)) for k in range(kmax + 1)])
-
-
-def parse_half_laurent(text: str) -> HalfLaurent:
-    result = parse_polynomial(text)
-    if not isinstance(result, HalfLaurent):
-        raise ParseError("expected a polynomial in t")
-    return result
-
-
-def parse_z_poly(text: str) -> ZPoly:
-    result = parse_polynomial(text)
-    if isinstance(result, HalfLaurent):
-        # constants double as z-polynomials; anything else is a t-expression
-        if result.is_zero:
-            return ZPoly(0, ())
-        if result.support == (0,):
-            return ZPoly(0, (result.coeff(0),))
-        raise ParseError("expected a polynomial in z")
-    return result
+    return ZPoly(s, [powers.get(e, Fraction(0)) for e in range(s, max(powers) + 1, 2)])
 
 
 def parse_h_series(text: str, order: int) -> HSeries:
     """Parse h-polynomial text into a series at the given order; a trailing
     O(h^N) marker must agree with that order."""
-    terms, o_order = _scan_terms(text)
+    powers, o_order = _scan_terms(text, "h")
     if o_order is not None and o_order != order:
         raise ParseError(f"O(h^{o_order + 1}) marker disagrees with order {order}")
-    cs = [Fraction(0)] * (order + 1)
-    for coeff, var, exp, halved, pos in terms:
-        if var not in (None, "h") or halved:
-            raise ParseError(f"syntax error at position {pos}: expected variable h")
-        e = exp if var == "h" else 0
-        if e < 0:
-            raise ParseError(f"syntax error at position {pos}: negative h exponent")
-        if e <= order:
-            cs[e] += coeff
-    return HSeries(cs, order)
+    return HSeries([powers.get(e, Fraction(0)) for e in range(order + 1)], order)
 
 
 #: How much of a rejected value an error message repeats.

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det_cofactor
+from oracles import (
+    TORUS_KNOTS,
+    det_cofactor,
+    positive_braid_seifert,
+    torus_alexander,
+    torus_braid,
+)
 from nabla_lmo.alexander import (
     nabla_from_seifert,
     normalize_delta,
@@ -52,6 +58,23 @@ def test_matches_cofactor_oracle():
         if not isinstance(expected, HalfLaurent):
             expected = HalfLaurent.constant(expected)
         assert nabla_from_seifert(v, 1).polynomial == expected
+
+
+def test_trefoil_is_the_closure_of_sigma_1_cubed():
+    assert SeifertMatrix(positive_braid_seifert(torus_braid(2, 3))) == TREFOIL
+
+
+@pytest.mark.parametrize("p, q", TORUS_KNOTS)
+def test_torus_knots_match_the_closed_form(p, q):
+    """Above genus 3, past the cofactor oracle's reach: braid-closure Seifert
+    matrices against the symmetrized closed form of Δ(T(p, q))."""
+    genus = (p - 1) * (q - 1) // 2
+    v = SeifertMatrix(positive_braid_seifert(torus_braid(p, q)))
+    assert v.size == 2 * genus
+    delta = torus_alexander(p, q)
+    assert nabla_from_seifert(v).polynomial == HalfLaurent(
+        {2 * (e - genus): c for e, c in enumerate(delta)}
+    )
 
 
 def test_link_examples():

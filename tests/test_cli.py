@@ -134,6 +134,36 @@ def test_aarhus_struts_wick_limit(capsys, monkeypatch, tmp_path):
     assert out.splitlines()[1] == "-3" + " 0" * r
 
 
+def test_aarhus_struts_wick_limit_counts_no_surgery_as_one(capsys, monkeypatch, tmp_path):
+    """With no surgery component the Wick route still expands the residual
+    struts, so k = 0 is held to the k = 1 bound on r."""
+    monkeypatch.setattr("nabla_lmo.cli.MAX_WICK_PAIRS", 3)
+
+    def link_file(k, r):
+        labels = [f"x{i}" for i in range(k)] + [f"a{i}" for i in range(r)]
+        rows = [["2" if i == j else "1" for j in labels] for i in labels]
+        path = tmp_path / f"k{k}r{r}.json"
+        path.write_text(json.dumps({"labels": labels, "surgery": labels[:k], "matrix": rows}))
+        return str(path)
+
+    for k in (0, 1):
+        for route in ("wick", "both"):
+            rc, out, err = run(capsys, "aarhus-struts", "--linking", link_file(k, 3), "--route", route)
+            assert (rc, err) == (0, "")
+            assert out.startswith("labels: a0 a1 a2\n")
+    counted = {0: "0·4, counted as 1·4", 1: "1·4"}
+    for k in (0, 1):
+        for route in ("wick", "both"):
+            assert run(capsys, "aarhus-struts", "--linking", link_file(k, 4), "--route", route) == (
+                2,
+                "",
+                f"error: --route {route} takes k·r <= 3 mixed linking pairs, "
+                f"got k·r = {counted[k]} = 4\n",
+            )
+        rc, _, err = run(capsys, "aarhus-struts", "--linking", link_file(k, 4), "--route", "schur")
+        assert (rc, err) == (0, "")
+
+
 def test_surgery_commands_multiply_no_matrices(capsys, monkeypatch, tmp_path, hopf_file):
     """surgery and the Schur route integrate out the surgery block by
     elimination alone: no matrix product."""
@@ -463,6 +493,26 @@ def test_exit_codes(capsys, tmp_path):
         main(["wheels", "--from-series", "1", "--from-seifert", "x.json"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+def test_expressions_in_the_wrong_variable_exit_2(capsys):
+    """Each expression flag reads one variable plus constants; text in
+    another variable is malformed input, not a value to compute with."""
+    for argv, var in (
+        (("roundtrip", "--nabla", "t^0", "--tor", "1"), "z"),
+        (("lmo", "--nabla", "t - t", "--tor", "1"), "z"),
+        (("normalize-delta", "--delta", "1 + z^2", "--h1", "1"), "t"),
+        (("wheels", "--from-series", "t + 1"), "h"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: syntax error at position ") and err.count("\n") == 1
+        assert err.endswith(f"expected variable {var}\n")
+    assert run(capsys, "lmo", "--nabla", "1 + O(h^3)", "--tor", "1") == (
+        2, "", "error: O(h^N) marker is only meaningful for h-series\n"
+    )
+    # constants are polynomials in every variable
+    assert run(capsys, "roundtrip", "--nabla", "1", "--tor", "1")[0] == 0
 
 
 def test_unencodable_output_exits_2(capsys, monkeypatch, tmp_path):

@@ -1,10 +1,10 @@
 """Seeded fuzz test of the command-line contract.
 
-Mutated README expressions, a mutated fixture Seifert file and a mutated
-README linking file go through ``cli.main`` in-process. Every run must end
-in exit 0, 1 or 2 (argparse's ``SystemExit(2)`` counts as 2) with no other
-exception escaping, and a second run of the same argv must print the same
-bytes.
+Mutated README expressions, a mutated fixture Seifert file, a mutated
+README linking file and mutated README wheel data go through ``cli.main``
+in-process. Every run must end in exit 0, 1 or 2 (argparse's
+``SystemExit(2)`` counts as 2) with no other exception escaping, and a
+second run of the same argv must print the same bytes.
 """
 
 import json
@@ -18,6 +18,7 @@ from nabla_lmo.fixtures import load_fixtures
 from test_readme import examples, usage_block
 
 CASES = 300
+WHEEL_CASES = 60
 SEED = 20240917
 EXPR_FLAGS = ("--nabla", "--delta", "--from-series")
 TOKENS = (
@@ -28,15 +29,18 @@ VARIABLES = "zht"
 
 
 def readme_inputs():
-    """The README's inline expressions by flag, and its hopf.json."""
-    exprs, linking = {flag: [] for flag in EXPR_FLAGS}, None
+    """The README's inline expressions by flag, its hopf.json, and the
+    arguments of the command that writes its wheels.json."""
+    exprs, linking, wheels_argv = {flag: [] for flag in EXPR_FLAGS}, None, None
     for argv, shown in examples(usage_block()):
         if argv[:2] == ["cat", "hopf.json"]:
             linking = "\n".join(shown)
+        if argv[-2:] == [">", "wheels.json"]:
+            wheels_argv = argv[1:-2]
         for i, a in enumerate(argv[:-1]):
             if a in exprs:
                 exprs[a].append(argv[i + 1])
-    return exprs, linking
+    return exprs, linking, wheels_argv
 
 
 def mutate(rng, s):
@@ -66,9 +70,10 @@ def mutate_json(rng, text):
     return text[:i] + mutate(rng, text[i:j]) + text[j:]
 
 
-def argvs(rng, exprs, seifert, linking, tmp_path):
+def argvs(rng, exprs, seifert, linking, wheels, tmp_path):
     """Yield (argv, mutated input text) per case; files are rewritten in place."""
     seifert_file, linking_file = tmp_path / "seifert.json", tmp_path / "linking.json"
+    wheels_file = tmp_path / "wheels.json"
     for _ in range(CASES):
         command = rng.choice((
             "nabla", "mmr", "normalize-delta", "surgery", "aarhus-struts",
@@ -97,6 +102,13 @@ def argvs(rng, exprs, seifert, linking, tmp_path):
         if command in ("mmr", "lmo", "roundtrip", "wheels"):
             argv += ["--order", rng.choice(("0", "1", "4", "8", "-1"))]
         yield argv, text
+    for _ in range(WHEEL_CASES):
+        text = mutate_json(rng, wheels)
+        wheels_file.write_text(text, encoding="utf-8")
+        argv = ["lmo", "--invert", str(wheels_file)]
+        if rng.random() < 0.5:
+            argv += ["--max-z-degree", rng.choice(("0", "2", "4", "8"))]
+        yield argv, text
 
 
 def outcome(capsys, argv, text):
@@ -112,11 +124,13 @@ def outcome(capsys, argv, text):
 
 def test_cli_contract_on_mutated_inputs(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    exprs, linking = readme_inputs()
+    exprs, linking, wheels_argv = readme_inputs()
     trefoil = next(fx for fx in load_fixtures() if fx.name == "trefoil")
     seifert = json.dumps({"matrix": [[str(x) for x in row] for row in trefoil.seifert.entries]})
+    assert main(wheels_argv) == 0
+    wheels = capsys.readouterr().out
     codes = set()
-    for argv, text in argvs(random.Random(SEED), exprs, seifert, linking, tmp_path):
+    for argv, text in argvs(random.Random(SEED), exprs, seifert, linking, wheels, tmp_path):
         first = outcome(capsys, argv, text)
         assert first[0] in (0, 1, 2), (argv, text, first)
         assert outcome(capsys, argv, text) == first, (argv, text)

@@ -13,7 +13,6 @@ from nabla_lmo.parsing import (
     lmo_data_to_json,
     parse_h_series,
     parse_half_laurent,
-    parse_polynomial,
     parse_z_poly,
     read_linking_file,
     read_lmo_file,
@@ -22,14 +21,14 @@ from nabla_lmo.parsing import (
 
 
 def test_grammar_examples():
-    assert parse_polynomial("1 + z^2") == ZPoly(0, (1, 1))
-    assert parse_polynomial("t - 1 + t^-1") == HalfLaurent({2: 1, 0: -1, -2: 1})
-    assert parse_polynomial("t^(1/2)") == HalfLaurent({1: 1})
-    assert parse_polynomial("t^(-3/2)") == HalfLaurent({-3: 1})
+    assert parse_z_poly("1 + z^2") == ZPoly(0, (1, 1))
+    assert parse_half_laurent("t - 1 + t^-1") == HalfLaurent({2: 1, 0: -1, -2: 1})
+    assert parse_half_laurent("t^(1/2)") == HalfLaurent({1: 1})
+    assert parse_half_laurent("t^(-3/2)") == HalfLaurent({-3: 1})
 
 
 def test_grammar_flexibility():
-    assert parse_polynomial("1+z^2") == parse_polynomial("  1   +   z^2 ")
+    assert parse_z_poly("1+z^2") == parse_z_poly("  1   +   z^2 ")
     assert parse_z_poly("2z^2") == parse_z_poly("2*z^2")
     assert parse_z_poly("-z") == ZPoly(1, (-1,))
     assert parse_half_laurent("3/2*t^2 - t") == HalfLaurent({4: Fraction(3, 2), 2: -1})
@@ -44,8 +43,9 @@ def test_grammar_rejections():
     zero_denominators = ("1/0*z^2 + 1", "t + 1/00", "1 + 2/0h")
     for bad in ("", "  ", "z + t", "1 ++ 2", "q^2", "z^-2", "t^(1/3)", "1.5", "z^",
                 *zero_denominators):
-        with pytest.raises(ParseError):
-            parse_polynomial(bad)
+        for parse in (parse_z_poly, parse_half_laurent):
+            with pytest.raises(ParseError):
+                parse(bad)
     with pytest.raises(ParseError):
         parse_h_series("1 + 1/0*h^2", 4)
     with pytest.raises(ParseError):
@@ -55,12 +55,34 @@ def test_grammar_rejections():
     with pytest.raises(ParseError):
         parse_half_laurent("1 + z^2")
     with pytest.raises(ParseError):
-        parse_polynomial("h^2")  # needs an order, h-series entry point only
+        parse_z_poly("h^2")  # h text has its own entry point, which takes an order
+
+
+def test_each_entry_point_reads_one_variable():
+    """Another variable is a syntax error at its position in the
+    whitespace-stripped text; constants parse at every entry point."""
+    for parse, var, text, pos in (
+        (parse_z_poly, "z", "t^0", 0),
+        (parse_z_poly, "z", "t - t", 0),
+        (parse_z_poly, "z", "1 + z^2 - h", 6),
+        (parse_half_laurent, "t", "1 + z^2", 2),
+        (lambda text: parse_h_series(text, 4), "h", "t + 1", 0),
+    ):
+        with pytest.raises(ParseError) as exc_info:
+            parse(text)
+        assert str(exc_info.value) == f"syntax error at position {pos}: expected variable {var}"
+    assert parse_z_poly("-7/2") == ZPoly(0, (Fraction(-7, 2),))
+    assert parse_half_laurent("-7/2") == HalfLaurent({0: Fraction(-7, 2)})
+    assert parse_h_series("-7/2", 2) == HSeries([Fraction(-7, 2), 0, 0])
+    for parse in (parse_z_poly, parse_half_laurent):
+        with pytest.raises(ParseError) as exc_info:
+            parse("1 + O(h^3)")
+        assert str(exc_info.value) == "O(h^N) marker is only meaningful for h-series"
 
 
 def test_error_position_is_reported():
     with pytest.raises(ParseError) as err:
-        parse_polynomial("1 + &")
+        parse_z_poly("1 + &")
     assert "position" in str(err.value)
 
 
@@ -265,9 +287,14 @@ def test_t_exponent_limit(monkeypatch):
 
 def test_long_integers_are_parse_errors(tmp_path):
     nines = "9" * 5000
-    for text in (f"1 + z^{nines}", f"{nines}*z^2", f"1/{nines}", f"t^({nines}/2)"):
+    for parse, text in (
+        (parse_z_poly, f"1 + z^{nines}"),
+        (parse_z_poly, f"{nines}*z^2"),
+        (parse_z_poly, f"1/{nines}"),
+        (parse_half_laurent, f"t^({nines}/2)"),
+    ):
         with pytest.raises(ParseError) as exc_info:
-            parse_polynomial(text)
+            parse(text)
         assert "integer longer than" in str(exc_info.value)
     with pytest.raises(ParseError):
         parse_h_series(f"1 + h^2 + O(h^{nines})", 4)

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_symmetric, signature_by_congruence
+from oracles import (
+    TORUS_KNOTS,
+    brieskorn_signature_pair,
+    positive_braid_seifert,
+    random_symmetric,
+    signature_by_congruence,
+    torus_braid,
+)
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import gaussian_pair
 from nabla_lmo.matrices import as_matrix, matmul, rank, transpose
@@ -95,6 +102,13 @@ def random_signature_input(rng, n):
         for i in range(n):
             a[i][i] = Fraction(0)
     return as_matrix(a)
+
+
+@pytest.mark.parametrize("p, q", TORUS_KNOTS)
+def test_torus_knot_signatures_match_the_brieskorn_count(p, q):
+    v = positive_braid_seifert(torus_braid(p, q))
+    symmetrized = [[x + y for x, y in zip(row, col)] for row, col in zip(v, zip(*v))]
+    assert signature_pair(symmetrized) == brieskorn_signature_pair(p, q)
 
 
 def test_signature_sylvester_stability():
