@@ -3,11 +3,13 @@
 A strut is an edge with two labeled ends; struts over a fixed label set
 generate a commutative polynomial algebra, with a monomial stored as a sorted
 multiset of sorted label pairs. Exponentials of quadratic forms in struts
-encode linking data. Pairing a strut polynomial with legs labeled in
-X'' ∪ X' against a polynomial of dual (∂-labeled) struts glues every X' leg
-to a ∂ leg of the same color in all possible ways; on exponentials of
-quadratics this reproduces the Schur complement of the X' block. Both routes
-are implemented so each can check the other.
+encode linking data; such a quadratic, a `StrutQuadratic`, is the linking
+matrix of a framed link with no surgery components. Pairing a strut
+polynomial with legs labeled in X'' ∪ X' against a polynomial of dual
+(∂-labeled) struts glues every X' leg to a ∂ leg of the same color in all
+possible ways; on exponentials of quadratics this reproduces the Schur
+complement of the X' block. Both routes are implemented so each can check
+the other.
 
 Degrees count struts, matching the half-vertex grading of diagram algebras.
 When truncating the left pairing factor, a mixed strut (one X'' leg, one X'
@@ -94,44 +96,21 @@ class StrutPolynomial(_terms.TermPoly):
         )
 
 
-class StrutQuadratic:
-    """exp((1/2) * sum_ij q_ij s(i,j)) presented by its symmetric matrix q."""
+class StrutQuadratic(FramedLinkMatrix):
+    """exp((1/2) * sum_ij q_ij s(i,j)) presented by its symmetric matrix q:
+    the strut part of a framed link with no surgery components, so the
+    labels and q obey the `FramedLinkMatrix` rules."""
 
-    __slots__ = ("_labels", "_q")
+    __slots__ = ()
 
     def __init__(self, labels: Sequence[str], q):
-        labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
-            raise DomainError("duplicate labels")
-        qm = matrices.as_matrix(q)
-        if not matrices.is_square(qm) or len(qm) != len(labels):
-            raise DomainError("quadratic form shape does not match the labels")
-        if not matrices.is_symmetric(qm):
-            raise DomainError("quadratic form must be symmetric")
-        self._labels = labels
-        self._q = qm
+        super().__init__(labels, (), q)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
-    def matrix(self) -> Matrix:
-        return self._q
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StrutQuadratic):
-            return NotImplemented
-        return self._labels == other._labels and self._q == other._q
-
-    __hash__ = None
+    matrix = FramedLinkMatrix.entries
 
     def expand(self, max_degree: int) -> StrutPolynomial:
         """The exponential expanded as a strut polynomial of degree <= max_degree."""
-        return _exp_linear(_form_entries(self._labels, self._q), max_degree)
-
-    def __repr__(self) -> str:
-        return f"StrutQuadratic(labels={self._labels!r}, q={self._q!r})"
+        return _exp_linear(_form_entries(self.labels, self.entries), max_degree)
 
 
 def _form_entries(labels: Sequence[str], q: Matrix) -> list[tuple[Strut, Fraction, int]]:
@@ -193,7 +172,9 @@ def _exp_linear(
 
 def strut_part_of_aarhus(m: FramedLinkMatrix) -> StrutQuadratic:
     """Strut exponent left after integrating out the surgery components,
-    by the closed matrix route: exp((1/2) * Schur complement).
+    by the closed matrix route: exp((1/2) * Schur complement). The Schur
+    complement is the linking matrix of the residual components, now a
+    framed link with no surgery components.
 
     Requires integral framings on the surgery components.
     """

@@ -44,14 +44,6 @@ class HalfLaurent(_terms.TermPoly):
         """Exponents (in halves) carrying a nonzero coefficient, ascending."""
         return tuple(sorted(self._terms))
 
-    def __pow__(self, n: int) -> "HalfLaurent":
-        if n < 0:
-            raise DomainError("negative powers of a polynomial are not defined")
-        out = HalfLaurent.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, half_exponent: int) -> "HalfLaurent":
         """Multiply by t^(half_exponent/2)."""
         return HalfLaurent._from_normalized(

@@ -18,6 +18,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _frac(value) -> Fraction:
+    # Fractions are immutable, so one that is given is shared, not copied
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, (float, complex)):
         raise TypeError("floating point entries are not accepted")
     return Fraction(value)

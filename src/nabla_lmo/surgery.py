@@ -105,7 +105,7 @@ class FramedLinkMatrix:
 
     def __repr__(self) -> str:
         return (
-            f"FramedLinkMatrix(surgery={self._surgery!r}, residual={self._residual!r})"
+            f"{type(self).__name__}(surgery={self._surgery!r}, residual={self._residual!r})"
         )
 
 

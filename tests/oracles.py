@@ -15,9 +15,10 @@ Fraction log and exp recurrences on coefficient lists, peeling powers of
 z^2) instead of the integer central factorial, exponential-form and
 Bernoulli route. No oracle calls the package's c_series, wheels_from_series
 or w_nabla. Seifert matrices of positive braid closures come with answers
-from knot theory rather than from a determinant: for torus knots, the
-closed form of the Alexander polynomial and the Brieskorn count of the
-signature.
+from knot theory rather than from their own determinant: for torus knots,
+the closed form of the Alexander polynomial and the Brieskorn count of the
+signature; for any positive braid knot, the reduced Burau matrix of the
+braid.
 """
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ from math import factorial, floor
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
 from nabla_lmo.hseries import HSeries, substitute_exp
-from nabla_lmo.laurent import ZPoly
+from nabla_lmo.laurent import HalfLaurent, ZPoly
 from nabla_lmo.wheels import WheelSeries, rescale_degree
 
 
@@ -486,6 +487,34 @@ def positive_braid_seifert(word):
         return 0
 
     return [[entry(a, b) for b in cycles] for a in cycles]
+
+
+def burau_alexander(word, strands):
+    """(1 − t)·det(I − ψ(β)) for the reduced Burau matrix ψ(β) of the braid
+    ``word`` (σ_i written as i) on ``strands`` strands, by cofactor expansion
+    over `HalfLaurent`. ψ(σ_i) is the identity except in row i, which holds
+    t at column i − 1, −t at column i and 1 at column i + 1. When the closure
+    is a knot K this is Δ_K(t)·(1 − tⁿ) up to a unit ±t^k, n the number of
+    strands (Burau's formula; see Kassel and Turaev, "Braid groups", ch. 3).
+    """
+    n = strands - 1
+    zero, one, t = HalfLaurent.zero(), HalfLaurent.one(), HalfLaurent.monomial(2)
+
+    def identity():
+        return [[one if r == c else zero for c in range(n)] for r in range(n)]
+
+    psi = identity()
+    for i in word:
+        g = identity()
+        g[i - 1][i - 1] = -t
+        if i > 1:
+            g[i - 1][i - 2] = t
+        if i < n:
+            g[i - 1][i] = one
+        psi = [[sum((a * g[k][c] for k, a in enumerate(row)), zero) for c in range(n)]
+               for row in psi]
+    eye = identity()
+    return (one - t) * det_cofactor([[e - x for e, x in zip(er, pr)] for er, pr in zip(eye, psi)])
 
 
 def torus_alexander(p, q):

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     TORUS_KNOTS,
+    burau_alexander,
     det_cofactor,
     positive_braid_seifert,
     torus_alexander,
@@ -75,6 +76,39 @@ def test_torus_knots_match_the_closed_form(p, q):
     assert nabla_from_seifert(v).polynomial == HalfLaurent(
         {2 * (e - genus): c for e, c in enumerate(delta)}
     )
+
+
+def _unit_free(p):
+    """p times the unit ±t^k that puts its lowest term at t^0 with a positive
+    coefficient."""
+    low = p.shift(-p.support[0])
+    return low if low.coeff(0) > 0 else -low
+
+
+def _closes_to_knot(word, strands):
+    perm = list(range(strands))
+    for i in word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    x, length = perm[0], 1
+    while x != 0:
+        x, length = perm[x], length + 1
+    return length == strands
+
+
+def test_random_positive_braids_match_the_burau_oracle():
+    """Knots closing random positive braids on 3–5 strands: the braid-closure
+    Seifert matrix against the reduced Burau determinant."""
+    rng = random.Random(41)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(3, 5)
+        word = [rng.randint(1, n - 1) for _ in range(rng.randint(4, 14))]
+        if set(word) != set(range(1, n)) or not _closes_to_knot(word, n):
+            continue
+        nabla = nabla_from_seifert(SeifertMatrix(positive_braid_seifert(word))).polynomial
+        lhs = nabla * (HalfLaurent.one() - HalfLaurent.monomial(2 * n))
+        assert _unit_free(lhs) == _unit_free(burau_alexander(word, n)), word
+        checked += 1
 
 
 def test_link_examples():

@@ -54,8 +54,21 @@ def test_strut_polynomial_truncate():
 
 
 def test_strut_quadratic_validation():
-    with pytest.raises(DomainError):
-        StrutQuadratic(("a", "b"), [[0, 1], [2, 0]])
+    # the FramedLinkMatrix rules: symmetric, square over the labels, rational
+    # entries, labels unique, non-empty and not ∂-marked
+    for labels, q in [
+        (("a", "b"), [[0, 1], [2, 0]]),
+        (("a", "b"), [[0, 1]]),
+        (("a",), [[0.5]]),
+        (("a", "b"), [[0, 1], [1]]),
+        (("a", "a"), [[0, 1], [1, 0]]),
+        (("",), [[1]]),
+        (("∂x",), [[1]]),
+    ]:
+        with pytest.raises(DomainError):
+            StrutQuadratic(labels, q)
+    assert StrutQuadratic(("a",), [[1]]) == FramedLinkMatrix(["a"], [], [[1]])
+    assert repr(StrutQuadratic(("a",), [[1]])).startswith("StrutQuadratic(")
     q = StrutQuadratic(("a",), [[4]])
     assert q.expand(2) == (
         StrutPolynomial.one() + strut("a", "a", 2) + strut("a", "a") * strut("a", "a", 2)

@@ -45,6 +45,18 @@ def test_empty_matrix():
     assert rank(()) == 0
 
 
+def test_as_matrix_shares_fractions_and_rejects_floats():
+    given = [Fraction(1, 3), Fraction(-2, 7)]
+    a = as_matrix([given])
+    assert all(x is y for x, y in zip(a[0], given))
+    assert as_matrix([[1, "2/3"]]) == ((Fraction(1), Fraction(2, 3)),)
+    for bad in ([[0.5]], [[1j]]):
+        with pytest.raises(TypeError):
+            as_matrix(bad)
+    with pytest.raises(ValueError):
+        as_matrix([[1, 2], [3]])
+
+
 def test_det_matches_cofactor_oracle():
     rng = random.Random(3)
     for _ in range(150):
