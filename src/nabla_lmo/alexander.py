@@ -24,16 +24,12 @@ from .seifert import SeifertMatrix
 class NablaResult:
     """A Conway-normalized polynomial with its z-form.
 
-    ``z_form`` carries the prefactor z^(components-1); its expansion equals
-    ``polynomial`` exactly.
+    ``z_form`` carries the prefactor z^(ℓ-1) of an ℓ-component link; its
+    expansion equals ``polynomial`` exactly.
     """
 
     polynomial: HalfLaurent
     z_form: ZPoly
-    components: int
-
-    def __str__(self) -> str:
-        return str(self.z_form)
 
 
 def nabla_from_seifert(v: SeifertMatrix, components: int = 1) -> NablaResult:
@@ -62,7 +58,7 @@ def nabla_from_seifert(v: SeifertMatrix, components: int = 1) -> NablaResult:
             f"determinant {d} does not lie in z^{components - 1}*Q[z^2]; "
             f"input is not a valid Seifert matrix for a {components}-component link"
         ) from None
-    return NablaResult(d, z_form, components)
+    return NablaResult(d, z_form)
 
 
 def normalize_delta(delta: HalfLaurent, h1_order: int) -> NablaResult:
@@ -99,4 +95,4 @@ def normalize_delta(delta: HalfLaurent, h1_order: int) -> NablaResult:
             f"value at t = 1 is {_terms.text(value)}, not +-{h1_order}; inconsistent h1_order"
         )
     nabla = shifted * Fraction(eps, h1_order)
-    return NablaResult(nabla, rewrite_in_z(nabla, 0), 1)
+    return NablaResult(nabla, rewrite_in_z(nabla, 0))

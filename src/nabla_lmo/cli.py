@@ -69,7 +69,7 @@ def _labeled_matrix_text(labels: Sequence[str], m: Matrix) -> list[str]:
 
 
 def _cmd_nabla(args) -> str:
-    matrix, components, _ = read_seifert_file(args.seifert)
+    matrix, components = read_seifert_file(args.seifert)
     return _nabla_text(nabla_from_seifert(matrix, components))
 
 
@@ -99,6 +99,10 @@ def _cmd_aarhus_struts(args) -> str:
             f"--route {args.route} takes k·r <= {MAX_WICK_PAIRS} mixed linking pairs, "
             f"got k·r = {k}·{r}{counted} = {pairs}"
         )
+    # gaussian_pair alone would integrate out a fractional framing; every
+    # route refuses it, as strut_part_of_aarhus does
+    if not m.integral_surgery:
+        raise DomainError("surgery framings must be integers")
     if args.route == "schur":
         q = strut_part_of_aarhus(m)
     elif args.route == "wick":
@@ -107,18 +111,18 @@ def _cmd_aarhus_struts(args) -> str:
         q = strut_part_of_aarhus(m)
         if gaussian_pair(m) != q:
             raise DomainError("wick and schur routes disagree")
-    return "\n".join(_labeled_matrix_text(q.labels, q.matrix))
+    return "\n".join(_labeled_matrix_text(q.labels, q.entries))
 
 
 def _cmd_mmr(args) -> str:
-    matrix, components, _ = read_seifert_file(args.seifert)
+    matrix, components = read_seifert_file(args.seifert)
     return str(mmr_series(matrix, components, _resolve_order(args.order)))
 
 
 def _cmd_wheels(args) -> str:
     order = _resolve_order(args.order)
     if args.from_seifert is not None:
-        matrix, components, _ = read_seifert_file(args.from_seifert)
+        matrix, components = read_seifert_file(args.from_seifert)
         if components != 1:
             raise DomainError("wheel data is defined for knots (1 component)")
         return str(aarhus_wheels(matrix, order))

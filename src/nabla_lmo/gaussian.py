@@ -17,6 +17,10 @@ leg) weighs 1/2: gluing consumes mixed struts in pairs, each surviving output
 strut eating two of them, so this weight makes truncated pairings agree
 exactly with the truncated closed form. Truncation counts in half-strut
 units, so a strut costs 2, a mixed strut 1, and degree d allows floor(2d).
+The pairing of the degree-1 factors needs no further cut: a left monomial
+holds at most two mixed struts and a right one at most one ∂-strut, so
+every glued monomial has at most one strut, and `gaussian_pair` reads the
+exponent off it.
 
 Truncated exponentials are built one monomial at a time: each monomial is a
 non-decreasing sequence of struts whose costs fit the budget, reached once,
@@ -81,15 +85,6 @@ class StrutPolynomial(_terms.TermPoly):
     def strut(cls, a: str, b: str, coeff: Scalar = 1) -> "StrutPolynomial":
         return cls({(_strut(a, b),): Fraction(coeff)})
 
-    def degree(self) -> int:
-        """Largest strut count among the terms; -1 when zero."""
-        return max((len(t) for t in self._terms), default=-1)
-
-    def truncate(self, max_degree: int) -> "StrutPolynomial":
-        return StrutPolynomial._from_normalized(
-            {t: c for t, c in self._terms.items() if len(t) <= max_degree}
-        )
-
     def __str__(self) -> str:
         return _terms.signed_sum(
             (c, "*".join(f"s({a},{b})" for a, b in term) or None) for term, c in self.items()
@@ -105,8 +100,6 @@ class StrutQuadratic(FramedLinkMatrix):
 
     def __init__(self, labels: Sequence[str], q):
         super().__init__(labels, (), q)
-
-    matrix = FramedLinkMatrix.entries
 
     def expand(self, max_degree: int) -> StrutPolynomial:
         """The exponential expanded as a strut polynomial of degree <= max_degree."""
@@ -308,12 +301,12 @@ def gaussian_pair(m: FramedLinkMatrix) -> StrutQuadratic:
     by enumerating gluings instead of the matrix identity.
 
     The pairing of the exponentials is again the exponential of a quadratic,
-    so its degree-1 part determines the exponent; only the minimal truncation
-    is needed to read it off.
+    so its degree-1 part determines the exponent; pairing the degree-1
+    factors gives exactly that part.
     """
     left = left_pairing_factor(m, Fraction(1))
     right = right_pairing_factor(m, 1)
-    paired = wick_pair(left, right, m.surgery_labels).truncate(1)
+    paired = wick_pair(left, right, m.surgery_labels)
     res = m.residual_labels
     index = {lab: i for i, lab in enumerate(res)}
     n = len(res)

@@ -43,16 +43,8 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

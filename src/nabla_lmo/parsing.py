@@ -221,9 +221,9 @@ def _matrix_rows(data, path: str):
     return [[_rational(v, f"{path} matrix entry") for v in row] for row in data]
 
 
-def read_seifert_file(path: str) -> tuple[SeifertMatrix, int, str | None]:
+def read_seifert_file(path: str) -> tuple[SeifertMatrix, int]:
     """Read a Seifert matrix JSON file: {"matrix": [...], "components"?,
-    "name"?}. Returns (matrix, components, name)."""
+    "name"?}. Returns (matrix, components); the name is checked, not kept."""
     data = _load_json(path)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ParseError(f"{path}: expected an object with a \"matrix\" key")
@@ -238,7 +238,7 @@ def read_seifert_file(path: str) -> tuple[SeifertMatrix, int, str | None]:
         matrix = SeifertMatrix(rows)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return matrix, components, name
+    return matrix, components
 
 
 def read_linking_file(path: str) -> FramedLinkMatrix:

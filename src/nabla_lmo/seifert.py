@@ -1,10 +1,10 @@
-"""Seifert matrices, their symmetric/skew splitting, and skew normal forms.
+"""Seifert matrices, their skew parts, and skew normal forms.
 
-A Seifert matrix V splits into F = V - V* (the intersection pairing of the
-spanning surface) and U = (V + V*)/2. Over the integers, F is congruent to a
-block sum of hyperbolic blocks (0, d; -d, 0) with d_1 | d_2 | ... plus a zero
-block; the d_i are the elementary divisors computed here together with the
-unimodular change of basis.
+The skew part F = V - V* of a Seifert matrix V is the intersection pairing
+of the spanning surface. Over the integers, F is congruent to a block sum of
+hyperbolic blocks (0, d; -d, 0) with d_1 | d_2 | ... plus a zero block; the
+d_i are the elementary divisors computed here together with the unimodular
+change of basis.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ class SeifertMatrix:
     def skew_part(self) -> Matrix:
         """F = V - V*."""
         return matrices.sub(self._entries, matrices.transpose(self._entries))
-
-    @property
-    def symmetric_part(self) -> Matrix:
-        """U = (V + V*)/2."""
-        s = matrices.add(self._entries, matrices.transpose(self._entries))
-        return matrices.scale(s, Fraction(1, 2))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeifertMatrix):

@@ -9,7 +9,6 @@ run on the one elimination kernel of `matrices`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import matrices
@@ -87,10 +86,6 @@ class FramedLinkMatrix:
     def residual_block(self) -> Matrix:
         k, n = len(self._surgery), self.size
         return matrices.submatrix(self._entries, range(k, n), range(k, n))
-
-    def entry(self, a: str, b: str) -> Fraction:
-        lab = self.labels
-        return self._entries[lab.index(a)][lab.index(b)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FramedLinkMatrix):

@@ -114,7 +114,6 @@ def test_random_positive_braids_match_the_burau_oracle():
 def test_link_examples():
     r = nabla_from_seifert(SeifertMatrix([[1]]), 2)
     assert r.z_form == ZPoly(1, (1,))
-    assert r.components == 2
     assert nabla_from_seifert(SeifertMatrix([[-1]]), 2).z_form == ZPoly(1, (-1,))
     assert nabla_from_seifert(SeifertMatrix([[0]]), 2).z_form.is_zero
 

@@ -76,14 +76,18 @@ def test_aarhus_struts_routes(capsys, tmp_path, hopf_file):
         assert rc == 0
         assert out == "labels: a\n-1\n"
 
+
+def test_aarhus_struts_refuses_fractional_framing_on_every_route(capsys, tmp_path):
+    """The gluing route alone would integrate out a framing of 1/2; every
+    route refuses it with the Schur route's error instead."""
     frac = tmp_path / "frac.json"
     frac.write_text(FRACTIONAL_JSON)
-    rc, out, _ = run(capsys, "aarhus-struts", "--linking", str(frac), "--route", "wick")
-    assert rc == 0
-    assert out == "labels: a\n-2\n"
-    rc, _, err = run(capsys, "aarhus-struts", "--linking", str(frac), "--route", "schur")
-    assert rc == 1
-    assert err.startswith("error:")
+    for route in ("wick", "schur", "both"):
+        assert run(capsys, "aarhus-struts", "--linking", str(frac), "--route", route) == (
+            1,
+            "",
+            "error: surgery framings must be integers\n",
+        )
 
 
 def test_aarhus_struts_wick_limit(capsys, monkeypatch, tmp_path):

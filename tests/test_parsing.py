@@ -133,18 +133,17 @@ def test_read_seifert_file(tmp_path):
     path.write_text(
         json.dumps({"matrix": [["-1", "1"], ["0", "-1"]], "name": "trefoil"})
     )
-    m, components, name = read_seifert_file(str(path))
+    m, components = read_seifert_file(str(path))
     assert m.size == 2
     assert components == 1
-    assert name == "trefoil"
 
     path.write_text(json.dumps({"matrix": [["1/2"]], "components": 2}))
-    m, components, _ = read_seifert_file(str(path))
+    m, components = read_seifert_file(str(path))
     assert m.entries[0][0] == Fraction(1, 2)
     assert components == 2
 
     path.write_text(json.dumps({"matrix": []}))
-    m, components, _ = read_seifert_file(str(path))
+    m, components = read_seifert_file(str(path))
     assert m.size == 0
 
 
@@ -184,7 +183,7 @@ def test_read_linking_file(tmp_path):
     m = read_linking_file(str(path))
     assert m.surgery_labels == ("x",)
     assert m.residual_labels == ("a",)
-    assert m.entry("x", "a") == 1
+    assert m.entries == ((1, 1), (1, 0))
 
 
 def test_linking_file_rejections(tmp_path):

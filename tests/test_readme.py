@@ -65,12 +65,29 @@ def test_readme_usage_examples(capsys, monkeypatch, tmp_path):
 
 
 PACKAGE = README.parent / "src" / "nabla_lmo"
+IDENTIFIER = r"`([A-Za-z_][A-Za-z0-9_]+)`"
+
+
+def section(title: str) -> str:
+    """README's "## title" section, up to the next "## " heading."""
+    return README.read_text(encoding="utf-8").split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def layout_rows() -> list[str]:
     """The table rows of README's "Package layout" section."""
-    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
-    return [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    return [line for line in section("Package layout").splitlines() if line.startswith("| `")]
+
+
+def package_modules():
+    return [
+        importlib.import_module(f"nabla_lmo.{p.stem}")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.stem != "__init__"
+    ]
+
+
+def module_attributes() -> set[str]:
+    return set().union(*(vars(m) for m in package_modules()))
 
 
 def test_readme_package_layout_lists_every_module():
@@ -83,12 +100,17 @@ def test_readme_package_layout_lists_every_module():
 def test_readme_package_layout_names_exist():
     """Every backticked identifier in a "Package layout" row names a module
     or an attribute of one; one-letter names are the variables z, h and t."""
-    modules = [
-        importlib.import_module(f"nabla_lmo.{p.stem}")
-        for p in sorted(PACKAGE.glob("*.py"))
-        if p.stem != "__init__"
-    ]
-    names = set().union(*(vars(m) for m in modules)) | {m.__name__.split(".")[1] for m in modules}
+    names = module_attributes() | {m.__name__.split(".")[1] for m in package_modules()}
     for row in layout_rows():
-        for name in re.findall(r"`([A-Za-z_][A-Za-z0-9_]+)`", row):
+        for name in re.findall(IDENTIFIER, row):
             assert name in names, (name, row)
+
+
+def test_readme_what_it_computes_names_exist():
+    """Every backticked identifier in "What it computes" names an attribute
+    of a module, so a retired name cannot stay in the list."""
+    names = module_attributes()
+    found = re.findall(IDENTIFIER, section("What it computes"))
+    assert found
+    for name in found:
+        assert name in names, name

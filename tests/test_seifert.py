@@ -5,7 +5,7 @@ import pytest
 
 from oracles import random_unimodular
 from nabla_lmo.errors import DomainError
-from nabla_lmo.matrices import add, as_matrix, det, matmul, scale, transpose
+from nabla_lmo.matrices import as_matrix, det, matmul, sub, transpose
 from nabla_lmo.seifert import (
     SeifertMatrix,
     realizability_report,
@@ -26,20 +26,9 @@ def test_seifert_matrix_validation():
 
 
 def test_decompose_examples():
-    v = SeifertMatrix(TREFOIL)
-    f, u = v.skew_part, v.symmetric_part
-    assert f == as_matrix([[0, 1], [-1, 0]])
-    assert u == as_matrix([[-1, Fraction(1, 2)], [Fraction(1, 2), -1]])
-
-    sym = SeifertMatrix([[2, 1], [1, 0]])
-    f, u = sym.skew_part, sym.symmetric_part
-    assert f == as_matrix([[0, 0], [0, 0]])
-    assert u == sym.entries
-
-    v = SeifertMatrix([[0, 1], [0, 0]])
-    f, u = v.skew_part, v.symmetric_part
-    assert f == as_matrix([[0, 1], [-1, 0]])
-    assert u == as_matrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert SeifertMatrix(TREFOIL).skew_part == as_matrix([[0, 1], [-1, 0]])
+    assert SeifertMatrix([[2, 1], [1, 0]]).skew_part == as_matrix([[0, 0], [0, 0]])
+    assert SeifertMatrix([[0, 1], [0, 0]]).skew_part == as_matrix([[0, 1], [-1, 0]])
 
 
 def test_decompose_recomposes():
@@ -51,10 +40,9 @@ def test_decompose_recomposes():
             for _ in range(n)
         ]
         v = SeifertMatrix(rows)
-        f, u = v.skew_part, v.symmetric_part
-        assert add(u, scale(f, Fraction(1, 2))) == v.entries
-        assert transpose(f) == scale(f, Fraction(-1))
-        assert transpose(u) == u
+        f = v.skew_part
+        assert sub(v.entries, f) == transpose(v.entries)
+        assert transpose(f) == tuple(tuple(-x for x in row) for row in f)
 
 
 def test_skew_normal_form_examples():
@@ -131,6 +119,34 @@ def test_realizability_non_integral():
     assert r.realizable_in_s3 is None
     assert r.genus == 1
     assert r.boundary_components == 1
+
+
+def test_realizability_paths_agree():
+    """An integral V goes through the skew normal form, V/2 (an odd diagonal
+    entry makes it non-integral) through the rank of V - V*; both read the
+    same surface, and only the first has a verdict."""
+    rng = random.Random(79)
+    singular = 0
+    for i in range(100):
+        n = rng.randint(0, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n:
+            rows[0][0] = 2 * rng.randint(-2, 2) + 1
+        if n and i % 3 == 0:
+            # a symmetric row and column make a zero row of V - V*
+            j = rng.randrange(n)
+            for c in range(n):
+                rows[c][j] = rows[j][c]
+        v = SeifertMatrix(rows)
+        half = SeifertMatrix([[Fraction(x, 2) for x in row] for row in rows])
+        whole, halved = realizability_report(v), realizability_report(half)
+        assert (halved.genus, halved.boundary_components) == (
+            whole.genus,
+            whole.boundary_components,
+        ), rows
+        assert halved.realizable_in_s3 is (None if n else True)
+        singular += whole.boundary_components > 1
+    assert singular >= 30
 
 
 def test_knot_type_skew_part_is_unimodular():

@@ -46,9 +46,9 @@ def test_entry_lookup_is_order_independent():
     assert m.surgery_labels == ("x",)
     assert m.residual_labels == ("a",)
     # storage is surgery-first; entries follow labels, not input order
-    assert m.entry("x", "x") == 5
-    assert m.entry("a", "x") == m.entry("x", "a") == 2
+    assert m.labels == ("x", "a")
     assert m.entries == as_matrix([[5, 2], [2, 0]])
+    assert link(["x", "a"], ["x"], [[5, 2], [2, 0]]) == m
     assert m.integral_surgery is True
     assert link(["x"], ["x"], [["1/2"]]).integral_surgery is False
 
