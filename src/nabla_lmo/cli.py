@@ -80,11 +80,11 @@ def _cmd_normalize_delta(args) -> str:
 
 def _cmd_surgery(args) -> str:
     m = read_linking_file(args.linking)
+    block = m.surgery_block
     lines = _labeled_matrix_text(m.residual_labels, surgery_transform(m))
-    pos, neg = signature_pair(m.surgery_block)
-    lines.append(f"signature: ({pos}, {neg})")
-    if is_integral(m.surgery_block):
-        lines.append(f"h1_order: {_terms.text(h1_order(m.surgery_block))}")
+    lines.append(f"signature: {signature_pair(block)}")
+    if is_integral(block):
+        lines.append(f"h1_order: {_terms.text(h1_order(block))}")
     return "\n".join(lines)
 
 

@@ -2,9 +2,9 @@
 
 A framed link here is just its symmetric linking matrix over a label set
 split into surgery components X' and residual components X''. Integrating out
-the surgery block is the Schur complement; its signature pair normalizes the
-associated invariants and its determinant counts first homology. All three
-run on the one elimination kernel of `matrices`.
+the surgery block is a Schur complement, and so is each step that counts its
+signature pair (which normalizes the associated invariants); its determinant
+counts first homology. All three run on the one elimination kernel of `matrices`.
 """
 
 from __future__ import annotations
@@ -120,22 +120,26 @@ def surgery_transform(m: FramedLinkMatrix) -> Matrix:
     return _integrate_out(m, m.entries)
 
 
-def _sign_changes(coeffs) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def signature_pair(a) -> tuple[int, int]:
     """(number of positive, number of negative) eigenvalues of a symmetric
-    rational matrix A. Its eigenvalues are all real, so Descartes' rule of
-    signs is exact: the sign changes in the coefficients of det(t*I - A)
-    count the positive ones, and those of the same polynomial at -t the
-    negative ones."""
+    rational matrix A, by Sylvester's law of inertia and Haynsworth's
+    In(A) = In(B) + In(A/B): the leading block B is a nonzero a_ii, or, when
+    the diagonal is zero, [[0, c], [c, 0]] of inertia (1, 1)."""
     am = matrices.as_matrix(a)
     if not matrices.is_square(am) or not matrices.is_symmetric(am):
         raise DomainError("signature needs a symmetric square matrix")
-    chi = matrices.det_poly(matrices.identity(len(am)), am)
-    return _sign_changes(chi), _sign_changes([-c if k % 2 else c for k, c in enumerate(chi)])
+    pos = neg = 0
+    while am:
+        n = len(am)
+        head = next(([i] for i in range(n) if am[i][i]), None)
+        head = head or next(([i, j] for i in range(n) for j in range(i + 1, n) if am[i][j]), [])
+        if not head:
+            break  # the remaining block is zero
+        pos += len(head) == 2 or am[head[0]][head[0]] > 0
+        neg += len(head) == 2 or am[head[0]][head[0]] < 0
+        order = head + [i for i in range(n) if i not in head]
+        am = matrices.schur_complement(matrices.submatrix(am, order, order), len(head))
+    return pos, neg
 
 
 def h1_order(a) -> int:

@@ -5,7 +5,8 @@ frozen constants. Everything here is deliberately written by a different
 route than the package code: cofactor expansion instead of fraction-free
 elimination, explicit row elimination instead of the Schur formula, the
 adjugate instead of a bordered Schur complement, congruence
-diagonalization instead of sign changes of det(t*I - A), long division by z
+diagonalization and Descartes' rule on det(t*I - A) from cofactor values
+instead of inertia summed over Schur complements, long division by z
 on coefficient lists instead of rewriting in z, series products, logs and
 exps on plain coefficient lists, every permutation of legs instead of
 distinct gluings, every exponent vector instead of one walk per strut
@@ -24,7 +25,7 @@ braid.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, floor
+from math import factorial, floor, lcm
 
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
@@ -138,6 +139,38 @@ def signature_by_congruence(a):
                 for k in range(n):
                     w[k][r] -= f * w[k][piv]
     return pos, neg
+
+
+def signature_by_descartes(a):
+    """(positive, negative) eigenvalue counts of a symmetric rational matrix
+    by Descartes' rule of signs, exact here because every root of
+    chi(t) = det(t*I - A) is real: the sign changes of chi(t) count the
+    positive roots and those of chi(-t) the negative ones. chi comes from its
+    values at t = 0..n by cofactor expansion, then from their forward
+    differences: chi(t) = sum_k D^k chi(0) * t(t-1)...(t-k+1)/k!. A is first
+    scaled by the lcm of its denominators, which keeps the counts and puts
+    the cofactor expansion on integers."""
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    scale = lcm(*(x.denominator for row in a for x in row))
+    values = [
+        det_cofactor([[t * (i == j) - int(a[i][j] * scale) for j in range(n)] for i in range(n)])
+        for t in range(n + 1)
+    ]
+    coeffs = [Fraction(0)] * (n + 1)
+    falling = [Fraction(1)]  # t(t-1)...(t-k+1)/k!, lowest power first
+    for k in range(n + 1):
+        for i, c in enumerate(falling):
+            coeffs[i] += values[0] * c
+        values = [y - x for x, y in zip(values, values[1:])]
+        # the next falling factorial: times (t - k) / (k + 1)
+        falling = [(x - k * y) / (k + 1) for x, y in zip([0] + falling, falling + [0])]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return sign_changes(coeffs), sign_changes([-c if i % 2 else c for i, c in enumerate(coeffs)])
 
 
 def sinh_ratio_coeffs(order):

@@ -17,6 +17,10 @@ HOPF_SURGERY_JSON = (
 FRACTIONAL_JSON = (
     '{"labels": ["x", "a"], "surgery": ["x"], "matrix": [["1/2", "1"], ["1", "0"]]}'
 )
+ZERO_DIAGONAL_JSON = (
+    '{"labels": ["x","y","a"], "surgery": ["x","y"], '
+    '"matrix": [["0","1","1"],["1","0","2"],["1","2","0"]]}'
+)
 
 
 def run(capsys, *argv):
@@ -56,10 +60,17 @@ def test_normalize_delta_command(capsys):
     assert out == "1 + 1/3*z^2\n1/3*t^-1 + 1/3 + 1/3*t\n"
 
 
-def test_surgery_command(capsys, hopf_file):
+def test_surgery_command(capsys, tmp_path, hopf_file):
     rc, out, _ = run(capsys, "surgery", "--linking", hopf_file)
     assert rc == 0
     assert out == "labels: a\n-1\nsignature: (1, 0)\nh1_order: 1\n"
+
+    # a surgery block with a zero diagonal: its signature needs a 2 x 2 step
+    path = tmp_path / "zero_diagonal.json"
+    path.write_text(ZERO_DIAGONAL_JSON)
+    rc, out, _ = run(capsys, "surgery", "--linking", str(path))
+    assert rc == 0
+    assert out == "labels: a\n-4\nsignature: (1, 1)\nh1_order: 1\n"
 
 
 def test_surgery_skips_h1_for_fractional_framing(capsys, tmp_path):

@@ -8,9 +8,12 @@ from oracles import (
     brieskorn_signature_pair,
     positive_braid_seifert,
     random_symmetric,
+    random_unimodular,
     signature_by_congruence,
+    signature_by_descartes,
     torus_braid,
 )
+from nabla_lmo import matrices
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import gaussian_pair
 from nabla_lmo.matrices import as_matrix, matmul, rank, transpose
@@ -104,7 +107,7 @@ def random_signature_input(rng, n):
     return as_matrix(a)
 
 
-@pytest.mark.parametrize("p, q", TORUS_KNOTS)
+@pytest.mark.parametrize("p, q", TORUS_KNOTS + ((6, 7), (7, 8), (8, 9)))
 def test_torus_knot_signatures_match_the_brieskorn_count(p, q):
     v = positive_braid_seifert(torus_braid(p, q))
     symmetrized = [[x + y for x, y in zip(row, col)] for row, col in zip(v, zip(*v))]
@@ -118,6 +121,8 @@ def test_signature_sylvester_stability():
         a = random_signature_input(rng, n)
         expected = signature_pair(a)
         assert expected == signature_by_congruence(a)
+        if n <= 6:  # the cofactor expansion takes about 0.1 s at n = 7
+            assert expected == signature_by_descartes(a)
         pos, neg = expected
         assert pos + neg == rank(a)
         while True:
@@ -126,6 +131,32 @@ def test_signature_sylvester_stability():
                 break
         conj = matmul(matmul(as_matrix(p), a), transpose(as_matrix(p)))
         assert signature_pair(conj) == expected
+
+
+def test_signature_of_a_hyperbolic_sum_at_size(monkeypatch):
+    """P (D + H^m) P^T with P unimodular, D diagonal of both signs and
+    H = [[0, 1], [1, 0]] has the signature of D plus (m, m); P is mixed
+    lightly enough that some Schur complement has a zero diagonal, so the
+    2 x 2 step runs."""
+    rng = random.Random(60)
+    k, m = 60, 10
+    d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k - 2 * m)]
+    block = [[0] * k for _ in range(k)]
+    for i, x in enumerate(d):
+        block[i][i] = x
+    for i in range(k - 2 * m, k, 2):
+        block[i][i + 1] = block[i + 1][i] = 1
+    p = [[int(x) for x in row] for row in random_unimodular(rng, k, steps=k)]
+    a = as_matrix(matmul(matmul(p, block), transpose(p)))
+    kernel, heads = matrices.schur_complement, []
+
+    def schur_complement(rows, size):
+        heads.append(size)
+        return kernel(rows, size)
+
+    monkeypatch.setattr(matrices, "schur_complement", schur_complement)
+    assert signature_pair(a) == (sum(x > 0 for x in d) + m, sum(x < 0 for x in d) + m)
+    assert 2 in heads
 
 
 def test_h1_order():

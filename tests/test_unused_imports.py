@@ -1,7 +1,10 @@
-"""Every name a module imports is referenced in that module.
+"""Every name a module imports is referenced in that module, and every
+private helper of the package is referenced in the package.
 
-Covers the package under ``src/nabla_lmo/`` and the test suite. A package
-``__init__.py`` is exempt: its imports are re-exports.
+The import check covers the package under ``src/nabla_lmo/`` and the test
+suite; a package ``__init__.py`` is exempt, its imports are re-exports. The
+helper check covers the private module-level functions and classes of
+``src/nabla_lmo/``.
 """
 
 import ast
@@ -45,3 +48,45 @@ def test_every_imported_name_is_used():
         if names
     }
     assert found == {}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes in ``sources`` (module name
+    to source) that no code outside their own definition names, whether as a
+    name, an attribute or an import."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.endswith("__"):
+                    defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != own)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_dead_private_names_detects_an_unreferenced_helper():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\n\nclass _Used:\n    pass\n"
+        "def _imported():\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "b": "from .a import _imported\nimport a\n\nx = a._Used()\n",
+    }
+    assert dead_private_names(sources) == ["a._dead"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "nabla_lmo").glob("*.py"))
+    }
+    assert dead_private_names(sources) == []
