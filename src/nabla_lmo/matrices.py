@@ -4,8 +4,10 @@
 kernel. It scales each row once by the lcm of its denominators and then runs
 integer fraction-free (Bareiss) elimination on plain ints: every
 intermediate entry is a minor of the scaled matrix, so each division is
-exact and no Fraction is built until the answer. det(t*P - Q) is
-interpolated from determinants.
+exact and no Fraction is built until the answer. A general pivot block gets
+row pivoting; a symmetric one gets symmetric pivoting, which also counts its
+inertia (`surgery.signature_pair`). det(t*P - Q) is interpolated from
+determinants.
 """
 
 from __future__ import annotations
@@ -47,13 +49,6 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def submatrix(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return tuple(tuple(a[i][j] for j in cols) for i in rows)
 
@@ -78,16 +73,27 @@ def is_integral(a: Matrix) -> bool:
 
 def _eliminate(
     rows, width: int, pivot_rows: int | None = None
-) -> tuple[int, Fraction, list[list[int]], list[int]]:
+) -> tuple[int, Fraction, tuple[int, int] | None, list[list[int]], list[int]]:
     """Bareiss elimination of rational ``rows`` over their first ``width``
-    columns, with row pivoting; columns without a pivot are skipped. Pivots
-    are taken from the first ``pivot_rows`` rows only (all rows by default),
-    so the rows below are eliminated but never swapped up.
+    columns. Pivots are taken from the first ``pivot_rows`` rows only (all
+    rows by default), so the rows below are eliminated but never swapped up;
+    those rows and the first ``width`` columns form the pivot block.
 
-    Returns (rank, det, work, scales): ``work`` holds row i scaled by the
-    lcm ``scales[i]`` of its denominators, then eliminated; ``det`` is the
-    determinant of ``rows`` when they are ``width`` square, and 0 when that
-    block is singular.
+    A general pivot block gets row pivoting, and columns without a pivot are
+    skipped. A symmetric one gets symmetric pivoting instead: a nonzero
+    diagonal entry of the remaining block is brought to the front by a row
+    and column swap; when the diagonal is zero but entry (i, j) is not, i and
+    j go to the next two places and the row search pivots on (j, i) and then
+    on (i, j); a zero remaining block ends the pass. The remaining block is
+    p * m_i * S, p the last pivot, m_i the row scale and S the Schur
+    complement so far, so a 1 x 1 step adds sign(S_ii) to the inertia and a
+    2 x 2 step, [[0, c], [c, 0]] up to congruence, adds (1, 1).
+
+    Returns (rank, det, inertia, work, scales): ``work`` holds row i scaled
+    by the lcm ``scales[i]`` of its denominators, then permuted and
+    eliminated; ``det`` is the determinant of the pivot block when it is
+    square and 0 when it is singular; ``inertia`` is its (positive,
+    negative) eigenvalue count when it is symmetric and None otherwise.
     """
     work, scales = [], []
     for row in rows:
@@ -95,8 +101,31 @@ def _eliminate(
         scales.append(m)
         work.append([x.numerator * (m // x.denominator) for x in row])
     limit = len(work) if pivot_rows is None else pivot_rows
+    # a_ij = a_ji exactly when the scaled entries satisfy w_ij m_j = w_ji m_i
+    symmetric = limit == width and all(
+        work[i][j] * scales[j] == work[j][i] * scales[i] for i in range(width) for j in range(i)
+    )
+    pos = neg = 0
+    paired = False  # the second pivot of a 2 x 2 step needs no search
     sign, prev, r = 1, 1, 0
     for c in range(width):
+        if paired:
+            paired = False
+        elif symmetric:
+            head = next(([i] for i in range(c, width) if work[i][i]), None) or next(
+                ([i, j] for i in range(c, width) for j in range(i + 1, width) if work[i][j]), []
+            )
+            if not head:
+                break
+            for place, i in enumerate(head, c):
+                if i != place:
+                    work[place], work[i] = work[i], work[place]
+                    scales[place], scales[i] = scales[i], scales[place]
+                    for row in work:
+                        row[place], row[i] = row[i], row[place]
+            paired = len(head) == 2
+            pos += paired or work[c][c] * prev > 0
+            neg += paired or work[c][c] * prev < 0
         piv = next((i for i in range(r, limit) if work[i][c]), None)
         if piv is None:
             continue
@@ -110,8 +139,8 @@ def _eliminate(
             work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], pivot_row)]
         prev = p
         r += 1
-    det = Fraction(sign * prev, prod(scales)) if r == width == len(work) else Fraction(0)
-    return r, det, work, scales
+    det = Fraction(sign * prev, prod(scales[:limit])) if r == width == limit else Fraction(0)
+    return r, det, (pos, neg) if symmetric else None, work, scales
 
 
 def schur_complement(a, k: int) -> Matrix:
@@ -119,7 +148,7 @@ def schur_complement(a, k: int) -> Matrix:
     ValueError when A is singular. After k steps with pivots from A's rows,
     the work entry (i, j) below and right of A is p_k * m_i times it, p_k
     the last pivot and m_i the scale of row i (Sylvester's identity)."""
-    r, _, work, scales = _eliminate(a, k, k)
+    r, _, _, work, scales = _eliminate(a, k, k)
     if r < k:
         raise ValueError("singular matrix")
     p = work[k - 1][k - 1] if k else 1
@@ -129,7 +158,7 @@ def schur_complement(a, k: int) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free elimination with row pivoting."""
+    """Exact determinant by fraction-free elimination."""
     return _eliminate(a, len(a))[1]
 
 

@@ -2,9 +2,11 @@
 
 A framed link here is just its symmetric linking matrix over a label set
 split into surgery components X' and residual components X''. Integrating out
-the surgery block is a Schur complement, and so is each step that counts its
-signature pair (which normalizes the associated invariants); its determinant
-counts first homology. All three run on the one elimination kernel of `matrices`.
+the surgery block is a Schur complement; its signature pair (which
+normalizes the associated invariants) is the inertia that a symmetric
+elimination counts pivot by pivot; its determinant counts first homology.
+All three are one pass each of the elimination kernel of `matrices`, whose
+symmetric pivoting they share.
 """
 
 from __future__ import annotations
@@ -123,23 +125,13 @@ def surgery_transform(m: FramedLinkMatrix) -> Matrix:
 def signature_pair(a) -> tuple[int, int]:
     """(number of positive, number of negative) eigenvalues of a symmetric
     rational matrix A, by Sylvester's law of inertia and Haynsworth's
-    In(A) = In(B) + In(A/B): the leading block B is a nonzero a_ii, or, when
-    the diagonal is zero, [[0, c], [c, 0]] of inertia (1, 1)."""
+    In(A) = In(B) + In(A/B), counted in one symmetric elimination pass: each
+    leading block B is a nonzero diagonal entry of the Schur complement so
+    far or, when its diagonal is zero, [[0, c], [c, 0]] of inertia (1, 1)."""
     am = matrices.as_matrix(a)
     if not matrices.is_square(am) or not matrices.is_symmetric(am):
         raise DomainError("signature needs a symmetric square matrix")
-    pos = neg = 0
-    while am:
-        n = len(am)
-        head = next(([i] for i in range(n) if am[i][i]), None)
-        head = head or next(([i, j] for i in range(n) for j in range(i + 1, n) if am[i][j]), [])
-        if not head:
-            break  # the remaining block is zero
-        pos += len(head) == 2 or am[head[0]][head[0]] > 0
-        neg += len(head) == 2 or am[head[0]][head[0]] < 0
-        order = head + [i for i in range(n) if i not in head]
-        am = matrices.schur_complement(matrices.submatrix(am, order, order), len(head))
-    return pos, neg
+    return matrices._eliminate(am, len(am))[2]
 
 
 def h1_order(a) -> int:

@@ -53,6 +53,14 @@ def det_cofactor(rows):
     return total
 
 
+def matmul(a, b):
+    """Matrix product of two rational matrices, as a tuple of tuples."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 def adjugate_inverse(a):
     """A^-1 = adj(A)/det(A) with every cofactor from ``det_cofactor``."""
     n = len(a)
@@ -349,6 +357,21 @@ def random_symmetric(rng, n, denominators=(1,)):
         for j in range(i, n):
             v = Fraction(rng.randint(-3, 3), rng.choice(denominators))
             a[i][j] = a[j][i] = v
+    return tuple(tuple(row) for row in a)
+
+
+def random_symmetric_input(rng, n):
+    """Random symmetric rational matrix of size n: about a third have a zero
+    diagonal and about a third are B D B^T of rank below n."""
+    kind = rng.randrange(3)
+    if kind == 2 and n > 1:
+        k = rng.randint(1, n - 1)
+        b = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)]
+        return matmul(matmul(b, random_symmetric(rng, k, denominators=(1, 3))), tuple(zip(*b)))
+    a = [list(row) for row in random_symmetric(rng, n, denominators=(1, 2))]
+    if kind == 1:
+        for i in range(n):
+            a[i][i] = Fraction(0)
     return tuple(tuple(row) for row in a)
 
 

@@ -16,6 +16,7 @@ from oracles import (
     eliminate_block,
     invert_coeffs,
     log_coeffs,
+    matmul,
     mul_coeffs,
     random_symmetric,
     random_unimodular,
@@ -32,7 +33,7 @@ from nabla_lmo.gaussian import (
 )
 from nabla_lmo.hseries import c_series
 from nabla_lmo.laurent import HalfLaurent, ZPoly, rewrite_in_z
-from nabla_lmo.matrices import det, matmul, transpose
+from nabla_lmo.matrices import det, transpose
 from nabla_lmo.mmr import lmo_wheel_data, mmr_series, nabla_from_lmo_wheel_data
 from nabla_lmo.seifert import SeifertMatrix, realizability_report, skew_normal_form
 from nabla_lmo.surgery import FramedLinkMatrix, surgery_transform

@@ -7,6 +7,7 @@ from oracles import (
     TORUS_KNOTS,
     burau_alexander,
     det_cofactor,
+    matmul,
     positive_braid_seifert,
     torus_alexander,
     torus_braid,
@@ -200,7 +201,7 @@ def test_normalize_delta_unit_independence():
 
 def test_basis_invariance_spot():
     p = [[1, 1], [0, 1]]
-    from nabla_lmo.matrices import as_matrix, matmul, transpose
+    from nabla_lmo.matrices import as_matrix, transpose
 
     conj = matmul(matmul(as_matrix(p), TREFOIL.entries), transpose(as_matrix(p)))
     assert nabla_from_seifert(SeifertMatrix(conj)).z_form == ZPoly(0, (1, 1))

@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import adjugate_inverse, det_cofactor
+from oracles import adjugate_inverse, det_cofactor, matmul, random_symmetric_input
+from nabla_lmo import matrices
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import StrutPolynomial, dual_label, right_pairing_factor
 from nabla_lmo.matrices import (
@@ -13,7 +14,6 @@ from nabla_lmo.matrices import (
     det,
     det_poly,
     identity,
-    matmul,
     rank,
     schur_complement,
     sub,
@@ -63,6 +63,10 @@ def test_det_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
         assert det(a) == det_cofactor(a)
+    # symmetric input takes the symmetric pivot rule, zero diagonals included
+    for _ in range(150):
+        a = random_symmetric_input(rng, rng.randint(1, 5))
+        assert det(a) == det_cofactor(a)
 
 
 def test_det_sign_under_row_swaps():
@@ -87,6 +91,9 @@ def test_rank_of_rectangular_zero_and_deficient_matrices():
         k = rng.randint(1, min(n, m))
         low = matmul(random_matrix(rng, n, k), random_matrix(rng, k, m))
         assert rank(low) == rank_by_minors(low) <= k
+    for _ in range(80):
+        a = random_symmetric_input(rng, rng.randint(1, 5))
+        assert rank(a) == rank_by_minors(a)
 
 
 def right_pairing_degree_one(labels, inv):
@@ -150,24 +157,29 @@ def test_schur_complement_matches_block_formula():
         with pytest.raises(ValueError, match="^singular matrix$"):
             schur_complement(as_matrix(rows), len(rows) - 1)
     rng = random.Random(11)
-    checked = 0
-    while checked < 40:
-        n, k = rng.randint(1, 5), rng.randint(1, 3)
-        if k > n:
-            continue
-        a = random_matrix(rng, n, n)
-        assert schur_complement(a, 0) == a
-        top, rest = range(k), range(k, n)
-        block = submatrix(a, top, top)
-        if det_cofactor(block) == 0:
-            with pytest.raises(ValueError, match="^singular matrix$"):
-                schur_complement(a, k)
-            continue
-        correction = matmul(
-            matmul(submatrix(a, rest, top), adjugate_inverse(block)), submatrix(a, top, rest)
-        )
-        assert schur_complement(a, k) == sub(submatrix(a, rest, rest), correction)
-        checked += 1
+    # general input, then symmetric input with zero diagonals and singular blocks
+    for generate in (lambda n: random_matrix(rng, n, n), lambda n: random_symmetric_input(rng, n)):
+        checked = 0
+        while checked < 40:
+            n, k = rng.randint(1, 5), rng.randint(1, 3)
+            if k > n:
+                continue
+            a = generate(n)
+            assert schur_complement(a, 0) == a
+            top, rest = range(k), range(k, n)
+            block = submatrix(a, top, top)
+            block_det = det_cofactor(block)
+            # the kernel's det is that of its pivot block
+            assert matrices._eliminate(a, k, k)[1] == block_det
+            if block_det == 0:
+                with pytest.raises(ValueError, match="^singular matrix$"):
+                    schur_complement(a, k)
+                continue
+            correction = matmul(
+                matmul(submatrix(a, rest, top), adjugate_inverse(block)), submatrix(a, top, rest)
+            )
+            assert schur_complement(a, k) == sub(submatrix(a, rest, rest), correction)
+            checked += 1
 
 
 def test_det_poly_matches_cofactor_values():

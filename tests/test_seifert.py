@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_unimodular
+from oracles import matmul, random_unimodular
 from nabla_lmo.errors import DomainError
-from nabla_lmo.matrices import as_matrix, det, matmul, sub, transpose
+from nabla_lmo.matrices import as_matrix, det, sub, transpose
 from nabla_lmo.seifert import (
     SeifertMatrix,
     realizability_report,

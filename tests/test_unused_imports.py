@@ -1,14 +1,17 @@
 """Every name a module imports is referenced in that module, and every
-private helper of the package is referenced in the package.
+helper of the package is referenced in the package or exported.
 
 The import check covers the package under ``src/nabla_lmo/`` and the test
 suite; a package ``__init__.py`` is exempt, its imports are re-exports. The
-helper check covers the private module-level functions and classes of
-``src/nabla_lmo/``.
+helper check covers the module-level functions and classes of
+``src/nabla_lmo/``: a private one must be named elsewhere in the package, and
+a public one too unless ``nabla_lmo.__all__`` exports it.
 """
 
 import ast
 from pathlib import Path
+
+import nabla_lmo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,17 +53,18 @@ def test_every_imported_name_is_used():
     assert found == {}
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions and classes in ``sources`` (module name
-    to source) that no code outside their own definition names, whether as a
-    name, an attribute or an import."""
+def dead_helpers(sources: dict[str, str], exported=()) -> list[str]:
+    """Module-level functions and classes in ``sources`` (module name to
+    source), private or public, that ``exported`` does not list and no code
+    outside their own definition names, whether as a name, an attribute or
+    an import."""
     defined, used = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if own.startswith("_") and not own.endswith("__"):
+                if own not in exported and not (own.startswith("__") and own.endswith("__")):
                     defined.append((module, own))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -81,12 +85,23 @@ def test_dead_private_names_detects_an_unreferenced_helper():
         "def _imported():\n    pass\n\ndef __getattr__(name):\n    pass\n",
         "b": "from .a import _imported\nimport a\n\nx = a._Used()\n",
     }
-    assert dead_private_names(sources) == ["a._dead"]
+    assert dead_helpers(sources) == ["a._dead"]
 
 
-def test_every_private_helper_is_referenced():
+def test_dead_helpers_detects_an_unexported_public_helper():
+    sources = {
+        "a": "class Exported:\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
+        "def used():\n    pass\n",
+        "b": "from . import a\n\nx = a.used()\n",
+    }
+    assert dead_helpers(sources, exported=["Exported"]) == ["a.dead"]
+
+
+def test_every_helper_is_referenced_or_exported():
+    # the package __init__ only re-exports, so it is left out, and __all__ stands for it
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src" / "nabla_lmo").glob("*.py"))
+        if path.name != "__init__.py"
     }
-    assert dead_private_names(sources) == []
+    assert dead_helpers(sources, nabla_lmo.__all__) == []
