@@ -4,9 +4,9 @@ For a Seifert matrix V of an ℓ-component link, the polynomial is
 det(t^(1/2) V - t^(-1/2) V*), which always lies in z^(ℓ-1) · Q[z^2] for
 z = t^(1/2) - t^(-1/2) and is fixed by t^(1/2) -> -t^(-1/2). For V of size
 n it equals t^(-n/2) det(tV - V*), and det(tV - V*) is a polynomial in t of
-degree at most n, whose coefficients `matrices.det_poly` gives: one exact
-rational determinant at each of the n+1 integers t = 0..n, then Newton
-interpolation.
+degree at most n, whose coefficients `matrices.det_poly` gives: with the
+denominators of V cleared once, one integer determinant at each of the
+n+1 integers t = 0..n, then Newton interpolation on ints.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ intermediate entry is a minor of the scaled matrix, so each division is
 exact and no Fraction is built until the answer. A general pivot block gets
 row pivoting; a symmetric one gets symmetric pivoting, which also counts its
 inertia (`surgery.signature_pair`). det(t*P - Q) is interpolated from
-determinants.
+determinants of int matrices: `det_poly` clears the denominators of P and
+Q once, and its evaluation, differences and expansion run on ints.
 """
 
 from __future__ import annotations
@@ -168,20 +169,30 @@ def rank(a: Matrix) -> int:
 
 def det_poly(p: Matrix, q: Matrix) -> list[Fraction]:
     """Coefficients, lowest first, of det(t*P - Q) for square P and Q of
-    size n. Its values at t = 0..n, one determinant each, fix it: Newton
-    divided differences, then the Newton form expanded by Horner's rule."""
+    size n. With L the lcm of all denominators of P and Q, f(t) =
+    det(t*LP - LQ) = L^n det(t*P - Q) has integer coefficients, and its
+    values at t = 0..n, one determinant of an int matrix each, fix it.
+    Newton forward differences then stay integral (Δ^k f(0) / k! is an
+    integer for an integer polynomial f), so every division is exact; the
+    Newton form is expanded by Horner's rule, and only the n + 1
+    coefficients are divided by L^n."""
     n = len(p)
+    scale = lcm(*(x.denominator for a in (p, q) for row in a for x in row))
+    lp, lq = (
+        [[x.numerator * (scale // x.denominator) for x in row] for row in a] for a in (p, q)
+    )
     diffs = [
-        det([[t * x - y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]) for t in range(n + 1)
+        det([[t * x - y for x, y in zip(rp, rq)] for rp, rq in zip(lp, lq)]).numerator
+        for t in range(n + 1)
     ]
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / k
-    coeffs: list[Fraction] = []
+            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    coeffs: list[int] = []
     for k in range(n, -1, -1):
         # coeffs <- coeffs * (t - k) + diffs[k]
-        coeffs = [Fraction(0)] + coeffs
+        coeffs = [0] + coeffs
         for j in range(len(coeffs) - 1):
             coeffs[j] -= k * coeffs[j + 1]
         coeffs[0] += diffs[k]
-    return coeffs
+    return [Fraction(c, scale**n) for c in coeffs]

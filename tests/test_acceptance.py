@@ -103,6 +103,17 @@ def test_criterion_01_fixture_determinants_match_cofactor_oracle():
     assert time.perf_counter() - started < 1.0
 
 
+def test_every_fixture_matches_nabla_and_the_cofactor_oracle():
+    fixtures = load_fixtures()
+    assert len(fixtures) == 12
+    for fx in fixtures:
+        result = nabla_from_seifert(fx.seifert, fx.components)
+        oracle = conway_determinant(fx.seifert.entries)
+        assert result.z_form == fx.expected_nabla, fx.name
+        assert result.polynomial == oracle, fx.name
+        assert rewrite_in_z(oracle, fx.components - 1) == fx.expected_nabla, fx.name
+
+
 def test_criterion_02_determinant_membership_and_symmetry():
     rng = random.Random(2024)
     seen_components = set()

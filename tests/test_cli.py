@@ -51,6 +51,30 @@ def test_nabla_command(capsys, trefoil_file):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "seifert, expected",
+    [
+        # rational entries over three different denominators
+        (
+            '{"matrix": [["1/2", "1", "0", "1/3"], ["0", "-2/3", "1", "0"], '
+            '["0", "0", "5/7", "1"], ["1/3", "0", "0", "-1"]]}',
+            "1 - 335/126*z^2 - 8/189*z^4\n"
+            "-8/189*t^-2 - 941/378*t^-1 + 382/63 - 941/378*t - 8/189*t^2\n",
+        ),
+        # a trefoil split from an unknot: nabla = 0
+        (
+            '{"matrix": [["-1", "1", "0"], ["0", "-1", "0"], ["0", "0", "0"]], "components": 2}',
+            "0\n0\n",
+        ),
+    ],
+    ids=["rational", "split_link"],
+)
+def test_nabla_command_frozen_output(capsys, tmp_path, seifert, expected):
+    path = tmp_path / "seifert.json"
+    path.write_text(seifert)
+    assert run(capsys, "nabla", "--seifert", str(path)) == (0, expected, "")
+
+
 def test_normalize_delta_command(capsys):
     rc, out, _ = run(capsys, "normalize-delta", "--delta", "t - 1 + t^-1", "--h1", "1")
     assert rc == 0

@@ -183,13 +183,27 @@ def test_schur_complement_matches_block_formula():
 
 
 def test_det_poly_matches_cofactor_values():
-    rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randint(0, 4)
-        p, q = random_matrix(rng, n, n), random_matrix(rng, n, n)
+    def check(p, q):
         coeffs = det_poly(p, q)
-        assert len(coeffs) == n + 1
+        assert len(coeffs) == len(p) + 1
         for t in (Fraction(-2), Fraction(1, 3), Fraction(7)):
             value = sum(c * t ** k for k, c in enumerate(coeffs))
             shifted = [[t * x - y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]
             assert value == det_cofactor(shifted)
+        return coeffs
+
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        check(random_matrix(rng, n, n), random_matrix(rng, n, n))
+
+    # the common denominator 42 is the lcm of neither matrix alone (2 and 21)
+    p = as_matrix([["1/2", 1, 0], [0, -1, 3], [2, 0, "1/2"]])
+    q = as_matrix([["2/3", 0, 1], ["5/7", 1, 0], [0, "-2/3", "5/7"]])
+    check(p, q)
+    # a zero P leaves the constant det(-Q); a singular P drops the top degree
+    q = random_matrix(rng, 4, 4)
+    assert check(as_matrix([[0] * 4] * 4), q)[1:] == [0] * 4
+    singular = as_matrix([[1, 2, "1/3"], [2, 4, "2/3"], [0, "5/2", 1]])
+    assert check(singular, random_matrix(rng, 3, 3))[3] == 0
+    assert check((), ()) == [1]
