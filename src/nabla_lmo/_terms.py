@@ -101,10 +101,6 @@ class TermPoly:
     def zero(cls):
         return cls._from_normalized({})
 
-    @classmethod
-    def one(cls):
-        return cls._from_normalized({cls._unit: Fraction(1)})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

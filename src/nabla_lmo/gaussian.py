@@ -81,10 +81,6 @@ class StrutPolynomial(_terms.TermPoly):
     _combine = staticmethod(_terms.sorted_union)
     _unit = ()
 
-    @classmethod
-    def strut(cls, a: str, b: str, coeff: Scalar = 1) -> "StrutPolynomial":
-        return cls({(_strut(a, b),): Fraction(coeff)})
-
     def __str__(self) -> str:
         return _terms.signed_sum(
             (c, "*".join(f"s({a},{b})" for a, b in term) or None) for term, c in self.items()

@@ -34,11 +34,6 @@ class HalfLaurent(_terms.TermPoly):
     def constant(cls, c: Scalar) -> "HalfLaurent":
         return cls({0: Fraction(c)})
 
-    @classmethod
-    def monomial(cls, half_exponent: int, coeff: Scalar = 1) -> "HalfLaurent":
-        """c * t^(half_exponent/2)."""
-        return cls({half_exponent: Fraction(coeff)})
-
     @property
     def support(self) -> tuple[int, ...]:
         """Exponents (in halves) carrying a nonzero coefficient, ascending."""

@@ -3,14 +3,13 @@
 The skew part F = V - V* of a Seifert matrix V is the intersection pairing
 of the spanning surface. Over the integers, F is congruent to a block sum of
 hyperbolic blocks (0, d; -d, 0) with d_1 | d_2 | ... plus a zero block; the
-d_i are the elementary divisors computed here together with the unimodular
-change of basis.
+d_i are the elementary divisors computed here, and the size of the zero block
+is the corank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import matrices
@@ -62,28 +61,13 @@ class SeifertMatrix:
 
 @dataclass(frozen=True)
 class SkewNormalForm:
-    """Result of reducing an integer skew matrix by unimodular congruence.
-
-    ``transform`` P satisfies P F P* = block sum of (0, d_i; -d_i, 0) over the
-    elementary divisors, followed by a zero block of size ``corank``.
+    """Result of reducing an integer skew matrix F by unimodular congruence:
+    F is congruent to the block sum of (0, d_i; -d_i, 0) over the elementary
+    divisors d_1 | d_2 | ..., followed by a zero block of size ``corank``.
     """
 
     elementary_divisors: tuple[int, ...]
     corank: int
-    transform: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return 2 * len(self.elementary_divisors) + self.corank
-
-    def block_matrix(self) -> Matrix:
-        """The normal form itself, as a rational matrix."""
-        n = self.size
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, d in enumerate(self.elementary_divisors):
-            rows[2 * i][2 * i + 1] = Fraction(d)
-            rows[2 * i + 1][2 * i] = Fraction(-d)
-        return tuple(tuple(row) for row in rows)
 
 
 def skew_normal_form(f) -> SkewNormalForm:
@@ -91,8 +75,8 @@ def skew_normal_form(f) -> SkewNormalForm:
 
     Pivoting is deterministic: the entry of smallest nonzero absolute value
     wins, ties broken by lowest (row, column). Row operations are always
-    paired with the matching column operations, so the accumulated transform
-    stays unimodular.
+    paired with the matching column operations, so each step is a unimodular
+    congruence and the elementary divisors of the input are kept.
     """
     fm = matrices.as_matrix(f)
     if not matrices.is_square(fm):
@@ -103,20 +87,17 @@ def skew_normal_form(f) -> SkewNormalForm:
         raise DomainError("matrix is not skew-symmetric")
     n = len(fm)
     b = [[int(x) for x in row] for row in fm]
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap(i: int, j: int) -> None:
         b[i], b[j] = b[j], b[i]
         for r in range(n):
             b[r][i], b[r][j] = b[r][j], b[r][i]
-        p[i], p[j] = p[j], p[i]
 
     def row_op(i: int, j: int, c: int) -> None:
         # row_i += c*row_j paired with col_i += c*col_j
         b[i] = [x + c * y for x, y in zip(b[i], b[j])]
         for r in range(n):
             b[r][i] += c * b[r][j]
-        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
 
     def find_pivot(start: int) -> Optional[tuple[int, int]]:
         best = None
@@ -166,11 +147,7 @@ def skew_normal_form(f) -> SkewNormalForm:
             continue
         divisors.append(d)
         c += 2
-    return SkewNormalForm(
-        elementary_divisors=tuple(divisors),
-        corank=n - 2 * len(divisors),
-        transform=tuple(tuple(row) for row in p),
-    )
+    return SkewNormalForm(tuple(divisors), n - 2 * len(divisors))
 
 
 @dataclass(frozen=True)

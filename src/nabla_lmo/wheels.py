@@ -71,10 +71,6 @@ class WheelPolynomial(_terms.TermPoly):
     _combine = staticmethod(_terms.sorted_union)
     _unit = ()
 
-    @classmethod
-    def wheel(cls, index: int, coeff: Scalar = 1) -> "WheelPolynomial":
-        return cls({(index,): coeff})
-
 
 def wheels_of_log(ell: Sequence[Fraction]) -> list[Fraction]:
     """a_2m = -ell[m] / (2 (2m)!): the wheel coefficients whose image

@@ -1,31 +1,32 @@
 """Independent reference computations for the test suite.
 
-The acceptance suite takes its expected values only from here or from
-frozen constants. Everything here is deliberately written by a different
-route than the package code: cofactor expansion instead of fraction-free
-elimination, explicit row elimination instead of the Schur formula, the
-adjugate instead of a bordered Schur complement, congruence
-diagonalization and Descartes' rule on det(t*I - A) from cofactor values
-instead of inertia summed over Schur complements, long division by z
-on coefficient lists instead of rewriting in z, series products, logs and
-exps on plain coefficient lists, every permutation of legs instead of
-distinct gluings, every exponent vector instead of one walk per strut
-monomial, and the Fraction-series wheel translation (c(h) as the reciprocal
-of 2 sinh(h/2) / h, times nabla(e^(h/2)) as one dense product, O(D^2)
-Fraction log and exp recurrences on coefficient lists, peeling powers of
-z^2) instead of the integer central factorial, exponential-form and
-Bernoulli route. No oracle calls the package's c_series, wheels_from_series
-or w_nabla. Seifert matrices of positive braid closures come with answers
-from knot theory rather than from their own determinant: for torus knots,
-the closed form of the Alexander polynomial and the Brieskorn count of the
-signature; for any positive braid knot, the reduced Burau matrix of the
-braid.
+The acceptance suite takes its expected values only from here or from frozen
+constants. Everything here is deliberately written by a different route than
+the package code: cofactor expansion instead of fraction-free elimination,
+explicit row elimination instead of the Schur formula, the adjugate instead
+of a bordered Schur complement, nonzero minors instead of an elimination
+rank, gcds of principal Pfaffians instead of the skew normal form's
+congruence moves, congruence diagonalization and Descartes' rule on
+det(t*I - A) from cofactor values instead of inertia summed over Schur
+complements, long division by z on coefficient lists instead of rewriting in
+z, series products, logs and exps on plain coefficient lists, every
+permutation of legs instead of distinct gluings, every exponent vector
+instead of one walk per strut monomial, and the Fraction-series wheel
+translation (c(h) as the reciprocal of 2 sinh(h/2) / h, times nabla(e^(h/2))
+as one dense product, O(D^2) Fraction log and exp recurrences on coefficient
+lists, peeling powers of z^2) instead of the integer central factorial,
+exponential-form and Bernoulli route. No oracle calls the package's
+c_series, wheels_from_series or w_nabla. Seifert matrices of positive braid
+closures come with answers from knot theory rather than from their own
+determinant: for torus knots, the closed form of the Alexander polynomial
+and the Brieskorn count of the signature; for any positive braid knot, the
+reduced Burau matrix of the braid.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial, floor, lcm
+from itertools import combinations, permutations, product
+from math import factorial, floor, gcd, lcm
 
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import DUAL_MARK, StrutPolynomial, dual_label
@@ -52,6 +53,51 @@ def det_cofactor(rows):
         total = term if total is None else total + term
     return total
 
+
+def rank_by_minors(a):
+    """Size of the largest square submatrix with nonzero cofactor determinant."""
+    n, m = len(a), len(a[0]) if a else 0
+    for k in range(min(n, m), 0, -1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(m), k):
+                if det_cofactor([[a[r][c] for c in cols] for r in rows]) != 0:
+                    return k
+    return 0
+
+
+def pfaffian(a):
+    """Pfaffian of a skew-symmetric matrix of even size by expansion along
+    the first row: sum over j of (-1)^(j+1) a[0][j] pf(a without rows and
+    columns 0 and j); 1 for the empty matrix."""
+    n = len(a)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(1, n):
+        if a[0][j]:
+            keep = [k for k in range(1, n) if k != j]
+            minor = [[a[r][c] for c in keep] for r in keep]
+            total += (-1) ** (j + 1) * a[0][j] * pfaffian(minor)
+    return total
+
+
+def skew_divisors_by_pfaffians(a):
+    """Elementary divisors of an integer skew-symmetric matrix from Pfaffian
+    gcds: g_i is the gcd of the Pfaffians of all 2i x 2i principal
+    submatrices, and d_i = g_i / g_(i-1) up to the first g_i that is 0. The
+    gcd is invariant under unimodular congruence, and on the block normal
+    form it is d_1 ... d_i."""
+    n = len(a)
+    divisors, previous = [], 1
+    for i in range(1, n // 2 + 1):
+        g = 0
+        for keep in combinations(range(n), 2 * i):
+            g = gcd(g, pfaffian([[a[r][c] for c in keep] for r in keep]))
+        if g == 0:
+            break
+        divisors.append(g // previous)
+        previous = g
+    return tuple(divisors)
 
 def matmul(a, b):
     """Matrix product of two rational matrices, as a tuple of tuples."""
@@ -554,7 +600,7 @@ def burau_alexander(word, strands):
     strands (Burau's formula; see Kassel and Turaev, "Braid groups", ch. 3).
     """
     n = strands - 1
-    zero, one, t = HalfLaurent.zero(), HalfLaurent.one(), HalfLaurent.monomial(2)
+    zero, one, t = HalfLaurent.zero(), HalfLaurent.constant(1), HalfLaurent({2: 1})
 
     def identity():
         return [[one if r == c else zero for c in range(n)] for r in range(n)]

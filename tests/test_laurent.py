@@ -11,20 +11,20 @@ Z = HalfLaurent({1: 1, -1: -1})  # z = t^(1/2) - t^(-1/2)
 
 
 def t(k, c=1):
-    return HalfLaurent.monomial(2 * k, c)
+    return HalfLaurent({2 * k: c})
 
 
 def test_monomial_product():
-    half = HalfLaurent.monomial(1)
+    half = HalfLaurent({1: 1})
     assert half * half == t(1)
 
 
 def test_ring_ops():
     p = t(1) - 1 + t(-1)
-    q = HalfLaurent.monomial(1) + 2
+    q = HalfLaurent({1: 1}) + 2
     assert p + q - q == p
     assert p * HalfLaurent.zero() == HalfLaurent.zero()
-    assert p * HalfLaurent.one() == p
+    assert p * HalfLaurent.constant(1) == p
     assert (p * q) * q == p * (q * q)
     assert 3 * p == p * 3
 
@@ -35,8 +35,8 @@ def test_involution_fixes_symmetric_polynomial():
 
 
 def test_involution_on_half_powers():
-    half = HalfLaurent.monomial(1)
-    assert half.involution() == HalfLaurent.monomial(-1, -1)
+    half = HalfLaurent({1: 1})
+    assert half.involution() == HalfLaurent({-1: -1})
     assert Z.involution() == Z
 
 
@@ -71,16 +71,16 @@ def test_divide_by_z_oracle():
 
 def test_rendering():
     assert str(t(1) - 1 + t(-1)) == "t^-1 - 1 + t"
-    assert str(HalfLaurent.monomial(1)) == "t^(1/2)"
-    assert str(HalfLaurent.monomial(-3)) == "t^(-3/2)"
+    assert str(HalfLaurent({1: 1})) == "t^(1/2)"
+    assert str(HalfLaurent({-3: 1})) == "t^(-3/2)"
     assert str(HalfLaurent.zero()) == "0"
     assert str(t(2, -3) + t(0, Fraction(1, 2))) == "1/2 - 3*t^2"
-    assert str(-HalfLaurent.one()) == "-1"
+    assert str(-HalfLaurent.constant(1)) == "-1"
 
 
 def test_rewrite_in_z_examples():
     assert rewrite_in_z(t(1) - 1 + t(-1), 0) == ZPoly(0, (1, 1))
-    assert rewrite_in_z(HalfLaurent.one(), 0) == ZPoly(0, (1,))
+    assert rewrite_in_z(HalfLaurent.constant(1), 0) == ZPoly(0, (1,))
     with pytest.raises(DomainError):
         rewrite_in_z(t(1) - t(-1), 0)
 
@@ -89,7 +89,7 @@ def test_rewrite_in_z_prefactor():
     assert rewrite_in_z(Z, 1) == ZPoly(1, (1,))
     assert rewrite_in_z(Z * Z * Z + Z, 1) == ZPoly(1, (1, 1))
     with pytest.raises(DomainError):
-        rewrite_in_z(HalfLaurent.one(), 2)
+        rewrite_in_z(HalfLaurent.constant(1), 2)
     assert rewrite_in_z(HalfLaurent.zero(), 2) == ZPoly(2, ())
 
 

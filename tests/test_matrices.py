@@ -1,11 +1,11 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
-from oracles import adjugate_inverse, det_cofactor, matmul, random_symmetric_input
+from oracles import adjugate_inverse, det_cofactor, matmul, random_symmetric_input, rank_by_minors
 from nabla_lmo import matrices
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import StrutPolynomial, dual_label, right_pairing_factor
@@ -26,17 +26,6 @@ RATIONALS = [Fraction(0)] * 4 + [Fraction(k, d) for k in (-5, -1, 1, 2, 7) for d
 
 def random_matrix(rng, n, m):
     return as_matrix([[rng.choice(RATIONALS) for _ in range(m)] for _ in range(n)])
-
-
-def rank_by_minors(a):
-    """Size of the largest square submatrix with nonzero cofactor determinant."""
-    n, m = len(a), len(a[0]) if a else 0
-    for k in range(min(n, m), 0, -1):
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(m), k):
-                if det_cofactor(submatrix(a, rows, cols)) != 0:
-                    return k
-    return 0
 
 
 def test_empty_matrix():
@@ -99,11 +88,11 @@ def test_rank_of_rectangular_zero_and_deficient_matrices():
 def right_pairing_degree_one(labels, inv):
     """1 - (1/2) sum_xy inv_xy s(∂x,∂y): the degree <= 1 part of the right
     pairing factor over a surgery block with inverse ``inv``."""
-    out = StrutPolynomial.one()
+    out = StrutPolynomial.zero() + 1
     for i, x in enumerate(labels):
         for j in range(i, len(labels)):
             c = -inv[i][j] if i != j else -inv[i][i] / 2
-            out = out + StrutPolynomial.strut(dual_label(x), dual_label(labels[j]), c)
+            out = out + StrutPolynomial({((dual_label(x), dual_label(labels[j])),): c})
     return out
 
 

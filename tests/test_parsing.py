@@ -272,7 +272,7 @@ def test_z_exponent_limit():
 def test_t_exponent_limit(monkeypatch):
     top = f"t^{MAX_ORDER // 2} + t^-{MAX_ORDER // 2}"
     assert parse_half_laurent(top).support == (-MAX_ORDER, MAX_ORDER)
-    assert parse_half_laurent("t^4000000 - t^4000000 + t") == HalfLaurent.monomial(2)
+    assert parse_half_laurent("t^4000000 - t^4000000 + t") == HalfLaurent({2: 1})
     monkeypatch.setattr("nabla_lmo.parsing.HalfLaurent", None)  # no Laurent work
     for text in (
         f"t^{MAX_ORDER // 2 + 1} + 1 + t^-{MAX_ORDER // 2}",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import matmul, random_unimodular
+from oracles import matmul, random_unimodular, rank_by_minors, skew_divisors_by_pfaffians
 from nabla_lmo.errors import DomainError
 from nabla_lmo.matrices import as_matrix, det, sub, transpose
 from nabla_lmo.seifert import (
@@ -66,8 +66,11 @@ def test_skew_normal_form_rejects():
         skew_normal_form([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
 
 
-def test_transform_certifies_block_form():
+def test_skew_normal_form_matches_pfaffian_divisors():
+    """The divisors against the gcds of principal Pfaffians, on random skew
+    matrices and on unimodular conjugates of block sums with a known chain."""
     rng = random.Random(31)
+    cases = []
     for _ in range(60):
         n = rng.randint(0, 6)
         a = [[0] * n for _ in range(n)]
@@ -75,14 +78,24 @@ def test_transform_certifies_block_form():
             for j in range(i + 1, n):
                 a[i][j] = rng.randint(-4, 4)
                 a[j][i] = -a[i][j]
+        cases.append((a, None))
+    for chain in ((1,), (3,), (2, 2), (1, 2, 6), (1, 1, 4), (2, 4, 4), (1, 1, 2, 6)):
+        for n in range(2 * len(chain), 9):
+            block = [[0] * n for _ in range(n)]
+            for i, d in enumerate(chain):
+                block[2 * i][2 * i + 1], block[2 * i + 1][2 * i] = d, -d
+            for _ in range(5):
+                p = random_unimodular(rng, n)
+                conj = matmul(matmul(p, as_matrix(block)), transpose(p))
+                cases.append(([[int(x) for x in row] for row in conj], chain))
+    for a, chain in cases:
         nf = skew_normal_form(a)
-        p = as_matrix(nf.transform)
-        assert det(p) in (1, -1)
-        assert matmul(matmul(p, as_matrix(a)), transpose(p)) == nf.block_matrix()
         divisors = nf.elementary_divisors
+        assert divisors == skew_divisors_by_pfaffians(a), a
+        assert chain is None or divisors == chain
         assert all(d > 0 for d in divisors)
         assert all(divisors[i + 1] % divisors[i] == 0 for i in range(len(divisors) - 1))
-        assert 2 * len(divisors) + nf.corank == n
+        assert 2 * len(divisors) + nf.corank == len(a)
 
 
 def test_divisors_are_congruence_invariant():
@@ -147,6 +160,30 @@ def test_realizability_paths_agree():
         assert halved.realizable_in_s3 is (None if n else True)
         singular += whole.boundary_components > 1
     assert singular >= 30
+
+
+def test_realizability_of_rational_matrices():
+    """Genus and boundary count from the rank of V - V*, for rational V; every
+    third V is an integral U + I/2, whose V - V* is integral while V is not.
+    Only an integral V gets a verdict."""
+    rng = random.Random(83)
+    for i in range(300):
+        n = rng.randint(0, 6)
+        if i % 3 == 0:
+            rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+            for k in range(n):
+                rows[k][k] += Fraction(1, 2)
+        else:
+            dens = rng.choice(((1, 2), (2, 3, 5), (4, 9)))
+            rows = [
+                [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n)] for _ in range(n)
+            ]
+        v = SeifertMatrix(rows)
+        r = rank_by_minors(v.skew_part)
+        report = realizability_report(v)
+        assert (report.genus, report.boundary_components) == (r // 2, n - r + 1), rows
+        integral = all(x.denominator == 1 for row in rows for x in row)
+        assert (report.realizable_in_s3 is None) is not integral
 
 
 def test_knot_type_skew_part_is_unimodular():

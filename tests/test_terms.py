@@ -38,7 +38,7 @@ def _random(cls, rng):
 @pytest.mark.parametrize("cls", list(TYPES), ids=lambda c: c.__name__)
 def test_term_poly_ring_laws(cls):
     rng = random.Random(13)
-    zero, one = cls.zero(), cls.one()
+    zero, one = cls.zero(), cls.zero() + 1
     others = [c for c in TYPES if c is not cls]
     for _ in range(10):
         p, q, r = (_random(cls, rng) for _ in range(3))
@@ -61,7 +61,7 @@ def test_term_poly_ring_laws(cls):
         assert (p + q - q) == p
 
         for other_cls in others:
-            other = other_cls.one()
+            other = other_cls.zero() + 1
             assert (p == other) is False and (p != other) is True
             with pytest.raises(TypeError):
                 p + other

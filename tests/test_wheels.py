@@ -29,7 +29,7 @@ def test_odd_and_low_indices_rejected():
     with pytest.raises(DomainError):
         WheelSeries({0: 1})
     with pytest.raises(DomainError):
-        WheelPolynomial.wheel(5)
+        WheelPolynomial({(5,): 1})
 
 
 def test_wheel_series_basics():
@@ -43,14 +43,14 @@ def test_wheel_series_basics():
 
 
 def test_wheel_polynomial_ring():
-    w2 = WheelPolynomial.wheel(2)
-    w4 = WheelPolynomial.wheel(4)
+    w2 = WheelPolynomial({(2,): 1})
+    w4 = WheelPolynomial({(4,): 1})
     p = w2 * w2 + 2 * w4
     assert p.coeff((2, 2)) == 1
     assert p.coeff((4,)) == 2
     assert p.items() == [((2, 2), 1), ((4,), 2)]
     assert (p - p).is_zero
-    assert WheelPolynomial.one().coeff(()) == 1
+    assert (WheelPolynomial.zero() + 1).coeff(()) == 1
 
 
 #: Orders at which the integer routes are checked against the Fraction oracles.
@@ -67,9 +67,9 @@ def single_wheel_image(a, order):
 
 
 def test_w_nabla_on_single_wheel():
-    w2 = WheelPolynomial.wheel(2)
+    w2 = WheelPolynomial({(2,): 1})
     assert w_nabla(w2, 4) == HSeries([0, 0, -2], 4)
-    assert w_nabla(WheelPolynomial.one(), 4) == HSeries([1], 4)
+    assert w_nabla(WheelPolynomial.zero() + 1, 4) == HSeries([1], 4)
 
 
 def test_w_nabla_exponential_compatibility():
@@ -77,9 +77,9 @@ def test_w_nabla_exponential_compatibility():
     series_side = w_nabla(WheelSeries({2: a}), 8)
     assert series_side == single_wheel_image(a, 8)
     # exp(a w2) up to degree 8: (a w2)^k / k! for k <= 4
-    term = expansion = WheelPolynomial.one()
+    term = expansion = WheelPolynomial.zero() + 1
     for k in range(1, 5):
-        term = term * WheelPolynomial.wheel(2, a) * Fraction(1, k)
+        term = term * WheelPolynomial({(2,): a}) * Fraction(1, k)
         expansion = expansion + term
     poly_side = w_nabla(expansion, 8)
     assert poly_side == series_side
@@ -184,8 +184,8 @@ def test_homomorphism():
         u = WheelPolynomial.zero()
         v = WheelPolynomial.zero()
         for _ in range(rng.randint(1, 3)):
-            u = u + WheelPolynomial.wheel(rng.choice((2, 4)), rng.randint(-3, 3))
-            v = v + WheelPolynomial.wheel(rng.choice((2, 4, 6)), rng.randint(-3, 3))
+            u = u + WheelPolynomial({(rng.choice((2, 4)),): rng.randint(-3, 3)})
+            v = v + WheelPolynomial({(rng.choice((2, 4, 6)),): rng.randint(-3, 3)})
         u = u + rng.randint(0, 2)
         product = mul_coeffs(w_nabla(u, 12).coeffs, w_nabla(v, 12).coeffs, 12)
         assert list(w_nabla(u * v, 12).coeffs) == product
