@@ -41,7 +41,6 @@ from .seifert import (
 )
 from .surgery import (
     FramedLinkMatrix,
-    h1_order,
     signature_pair,
     surgery_transform,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "aarhus_wheels",
     "c_series",
     "gaussian_pair",
-    "h1_order",
     "left_pairing_factor",
     "lmo_wheel_data",
     "mmr_series",

@@ -36,7 +36,7 @@ from .parsing import (
     read_seifert_file,
     read_text,
 )
-from .surgery import h1_order, signature_pair, surgery_transform
+from .surgery import _integrate_out
 from .wheels import wheels_from_series
 
 
@@ -80,11 +80,11 @@ def _cmd_normalize_delta(args) -> str:
 
 def _cmd_surgery(args) -> str:
     m = read_linking_file(args.linking)
-    block = m.surgery_block
-    lines = _labeled_matrix_text(m.residual_labels, surgery_transform(m))
-    lines.append(f"signature: {signature_pair(block)}")
-    if is_integral(block):
-        lines.append(f"h1_order: {_terms.text(h1_order(block))}")
+    residual, block_det, signature = _integrate_out(m, m.entries)
+    lines = _labeled_matrix_text(m.residual_labels, residual)
+    lines.append(f"signature: {signature}")
+    if is_integral(m.surgery_block):
+        lines.append(f"h1_order: {_terms.text(abs(block_det))}")
     return "\n".join(lines)
 
 
@@ -294,10 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command. Its whole output is formatted before anything is
     printed, so a rejected input, or an output stdout cannot encode, leaves
-    stdout empty."""
+    stdout empty. A reader that closes stdout early ends the run quietly,
+    with exit 0."""
     args = build_parser().parse_args(argv)
     try:
-        print(args.func(args))
+        # flushed here, so a closed pipe is met in this try and not at shutdown
+        print(args.func(args), flush=True)
+        return 0
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

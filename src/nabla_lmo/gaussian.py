@@ -193,7 +193,7 @@ def right_pairing_factor(m: FramedLinkMatrix, max_degree: int) -> StrutPolynomia
     # the Schur complement of A in [[A, I], [I, 0]] is -A^-1
     eye = matrices.identity(len(m.surgery_labels))
     bordered = [a + e for a, e in zip(m.surgery_block, eye)] + [e + (0,) * len(e) for e in eye]
-    neg_inv = _integrate_out(m, bordered)
+    neg_inv = _integrate_out(m, bordered)[0]
     entries = _form_entries([dual_label(x) for x in m.surgery_labels], neg_inv)
     return _exp_linear(entries, max_degree)
 

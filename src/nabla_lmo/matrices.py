@@ -6,7 +6,8 @@ integer fraction-free (Bareiss) elimination on plain ints: every
 intermediate entry is a minor of the scaled matrix, so each division is
 exact and no Fraction is built until the answer. A general pivot block gets
 row pivoting; a symmetric one gets symmetric pivoting, which also counts its
-inertia (`surgery.signature_pair`). det(t*P - Q) is interpolated from
+inertia; `schur_complement` returns its pivot block's det and inertia with the
+complement, so one pass serves `surgery`. det(t*P - Q) is interpolated from
 determinants of int matrices: `det_poly` clears the denominators of P and
 Q once, and its evaluation, differences and expansion run on ints.
 """
@@ -144,18 +145,20 @@ def _eliminate(
     return r, det, (pos, neg) if symmetric else None, work, scales
 
 
-def schur_complement(a, k: int) -> Matrix:
-    """D - C A^-1 B for a = [[A, B], [C, D]], A the leading k x k block;
-    ValueError when A is singular. After k steps with pivots from A's rows,
-    the work entry (i, j) below and right of A is p_k * m_i times it, p_k
-    the last pivot and m_i the scale of row i (Sylvester's identity)."""
-    r, _, _, work, scales = _eliminate(a, k, k)
+def schur_complement(a, k: int) -> tuple[Matrix, Fraction, tuple[int, int] | None]:
+    """(D - C A^-1 B, det A, inertia of A) for a = [[A, B], [C, D]], A the
+    leading k x k block, its inertia None unless A is symmetric; ValueError
+    when A is singular. After k steps with pivots from A's rows, the work
+    entry (i, j) below and right of A is p_k * m_i times it, p_k the last
+    pivot and m_i the scale of row i (Sylvester's identity)."""
+    r, block_det, inertia, work, scales = _eliminate(a, k, k)
     if r < k:
         raise ValueError("singular matrix")
     p = work[k - 1][k - 1] if k else 1
-    return tuple(
+    rest = tuple(
         tuple(Fraction(x, p * m) for x in row[k:]) for row, m in zip(work[k:], scales[k:])
     )
+    return rest, block_det, inertia
 
 
 def det(a: Matrix) -> Fraction:

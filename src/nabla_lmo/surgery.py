@@ -5,12 +5,12 @@ split into surgery components X' and residual components X''. Integrating out
 the surgery block is a Schur complement; its signature pair (which
 normalizes the associated invariants) is the inertia that a symmetric
 elimination counts pivot by pivot; its determinant counts first homology.
-All three are one pass each of the elimination kernel of `matrices`, whose
-symmetric pivoting they share.
+One pass of the elimination kernel of `matrices` yields all three.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import matrices
@@ -106,9 +106,10 @@ class FramedLinkMatrix:
         )
 
 
-def _integrate_out(m: FramedLinkMatrix, rows) -> Matrix:
-    """Schur complement of the leading X' block of ``rows``; DomainError
-    naming the labels when that block is singular."""
+def _integrate_out(m: FramedLinkMatrix, rows) -> tuple[Matrix, Fraction, tuple[int, int]]:
+    """Schur complement of the leading X' block of ``rows``, with that
+    block's det and signature pair; DomainError naming the labels when the
+    block is singular."""
     try:
         return matrices.schur_complement(rows, len(m.surgery_labels))
     except ValueError:
@@ -119,7 +120,7 @@ def _integrate_out(m: FramedLinkMatrix, rows) -> Matrix:
 def surgery_transform(m: FramedLinkMatrix) -> Matrix:
     """Linking matrix of the residual components after the surgery components
     are integrated out: the Schur complement of the X' block."""
-    return _integrate_out(m, m.entries)
+    return _integrate_out(m, m.entries)[0]
 
 
 def signature_pair(a) -> tuple[int, int]:
@@ -133,16 +134,3 @@ def signature_pair(a) -> tuple[int, int]:
         raise DomainError("signature needs a symmetric square matrix")
     return matrices._eliminate(am, len(am))[2]
 
-
-def h1_order(a) -> int:
-    """|det A| of an integral symmetric matrix: the order of first homology
-    of the surgered manifold. DomainError when singular or non-integral."""
-    am = matrices.as_matrix(a)
-    if not matrices.is_square(am) or not matrices.is_symmetric(am):
-        raise DomainError("homology order needs a symmetric square matrix")
-    if not matrices.is_integral(am):
-        raise DomainError("homology order needs an integer matrix")
-    d = matrices.det(am)
-    if d == 0:
-        raise DomainError("matrix is singular; first homology is infinite")
-    return abs(int(d))

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import nabla_lmo
 from nabla_lmo import matrices
 from nabla_lmo.cli import main
 from nabla_lmo.gaussian import MAX_WICK_PAIRS, strut_part_of_aarhus
@@ -564,6 +568,25 @@ def test_unencodable_output_exits_2(capsys, monkeypatch, tmp_path):
     assert stdout.buffer.getvalue() == b""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe after one line, as `| head -1` does,
+    ends the command with exit 0 and nothing on stderr. The output, about
+    190 kB, outgrows the pipe buffer, so the write meets the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nabla_lmo.__file__).resolve().parents[1]))
+    argv = ["lmo", "--nabla", "1+z^2", "--tor", "999999", "--order", "256"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nabla_lmo.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"order: 256\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_output_does_not_depend_on_the_environment(capsys, monkeypatch, trefoil_file):

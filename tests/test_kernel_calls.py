@@ -32,8 +32,8 @@ COMMANDS = [
     # det(tV - V^T) from its values at t = 0..4
     (("nabla", "--seifert", "{seifert}"), {"_eliminate": 5}),
     (("normalize-delta", "--delta", "t-1+t^-1", "--h1", "1"), {}),
-    # the Schur complement, then one symmetric pass each for signature and |det|
-    (("surgery", "--linking", "{linking}"), {"_eliminate": 3}),
+    # one symmetric pass: the Schur complement with the block's signature and det
+    (("surgery", "--linking", "{linking}"), {"_eliminate": 1}),
     (
         ("aarhus-struts", "--linking", "{linking}", "--route", "both"),
         {"_eliminate": 2, "_exp_linear": 2, "wick_pair": 1},

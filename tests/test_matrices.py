@@ -5,8 +5,14 @@ from itertools import permutations
 
 import pytest
 
-from oracles import adjugate_inverse, det_cofactor, matmul, random_symmetric_input, rank_by_minors
-from nabla_lmo import matrices
+from oracles import (
+    adjugate_inverse,
+    det_cofactor,
+    matmul,
+    random_symmetric_input,
+    rank_by_minors,
+    signature_by_congruence,
+)
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import StrutPolynomial, dual_label, right_pairing_factor
 from nabla_lmo.matrices import (
@@ -14,6 +20,7 @@ from nabla_lmo.matrices import (
     det,
     det_poly,
     identity,
+    is_symmetric,
     rank,
     schur_complement,
     sub,
@@ -30,7 +37,7 @@ def random_matrix(rng, n, m):
 
 def test_empty_matrix():
     assert det(()) == 1
-    assert schur_complement((), 0) == ()
+    assert schur_complement((), 0) == ((), 1, (0, 0))
     assert rank(()) == 0
 
 
@@ -154,12 +161,10 @@ def test_schur_complement_matches_block_formula():
             if k > n:
                 continue
             a = generate(n)
-            assert schur_complement(a, 0) == a
+            assert schur_complement(a, 0) == (a, 1, (0, 0))
             top, rest = range(k), range(k, n)
             block = submatrix(a, top, top)
             block_det = det_cofactor(block)
-            # the kernel's det is that of its pivot block
-            assert matrices._eliminate(a, k, k)[1] == block_det
             if block_det == 0:
                 with pytest.raises(ValueError, match="^singular matrix$"):
                     schur_complement(a, k)
@@ -167,7 +172,13 @@ def test_schur_complement_matches_block_formula():
             correction = matmul(
                 matmul(submatrix(a, rest, top), adjugate_inverse(block)), submatrix(a, top, rest)
             )
-            assert schur_complement(a, k) == sub(submatrix(a, rest, rest), correction)
+            # the det and inertia are those of the pivot block A
+            inertia = signature_by_congruence(block) if is_symmetric(block) else None
+            assert schur_complement(a, k) == (
+                sub(submatrix(a, rest, rest), correction),
+                block_det,
+                inertia,
+            )
             checked += 1
 
 

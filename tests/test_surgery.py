@@ -1,11 +1,16 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from oracles import (
     TORUS_KNOTS,
+    adjugate_inverse,
     brieskorn_signature_pair,
+    det_cofactor,
     matmul,
     positive_braid_seifert,
     random_symmetric_input,
@@ -14,12 +19,12 @@ from oracles import (
     signature_by_descartes,
     torus_braid,
 )
+from nabla_lmo.cli import main
 from nabla_lmo.errors import DomainError
 from nabla_lmo.gaussian import gaussian_pair
-from nabla_lmo.matrices import as_matrix, rank, transpose
+from nabla_lmo.matrices import as_matrix, is_integral, rank, sub, submatrix, transpose
 from nabla_lmo.surgery import (
     FramedLinkMatrix,
-    h1_order,
     signature_pair,
     surgery_transform,
 )
@@ -139,15 +144,60 @@ def test_signature_of_a_hyperbolic_sum_at_size():
     assert signature_pair([[block[i][j] for j in order] for i in order]) == expected
 
 
-def test_h1_order():
-    assert h1_order([[1]]) == 1
-    assert h1_order([[3]]) == 3
-    assert h1_order([[2, 1], [1, 2]]) == 3
-    assert h1_order([[-5]]) == 5
-    with pytest.raises(DomainError):
-        h1_order([[0]])
-    with pytest.raises(DomainError):
-        h1_order([[Fraction(1, 2)]])
+def random_linking_input(rng):
+    """A k0-6 r0-4 linking matrix: a ``random_symmetric_input`` surgery
+    block (zero diagonals, singular blocks), half of them cleared to
+    integers, bordered by entries with denominators 1, 2 and 5."""
+    k, r = rng.randint(0, 6), rng.randint(0, 4)
+    block = random_symmetric_input(rng, k)
+    if rng.randrange(2):
+        scale = lcm(*(x.denominator for row in block for x in row))
+        block = tuple(tuple(x * scale for x in row) for row in block)
+    a = [list(row) + [None] * r for row in block] + [[None] * (k + r) for _ in range(r)]
+    for i in range(k + r):
+        for j in range(max(i, k), k + r):
+            a[i][j] = a[j][i] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+    return k, r, as_matrix(a)
+
+
+def test_surgery_command_matches_oracles(capsys, tmp_path):
+    """`surgery` on seeded random links: the residual matrix by the block
+    formula D - C A^-1 B, the signature by congruence diagonalization and
+    |H_1| by cofactor expansion, printed only for an integral block; a
+    singular block is one `error:` line and exit 1."""
+    rng = random.Random(35)
+    path = tmp_path / "link.json"
+    seen = Counter()
+    for _ in range(200):
+        k, r, a = random_linking_input(rng)
+        labels = [f"x{i}" for i in range(k)] + [f"a{i}" for i in range(r)]
+        rows = [[str(x) for x in row] for row in a]
+        path.write_text(json.dumps({"labels": labels, "surgery": labels[:k], "matrix": rows}))
+        rc = main(["surgery", "--linking", str(path)])
+        out, err = capsys.readouterr()
+        top, rest = range(k), range(k, k + r)
+        block = submatrix(a, top, top)
+        block_det = det_cofactor(block)
+        if block_det == 0:
+            assert (rc, out, err.count("\n")) == (1, "", 1)
+            assert err.startswith("error: singular surgery block")
+            seen["singular"] += 1
+            continue
+        residual = submatrix(a, rest, rest)
+        if k:
+            left = matmul(submatrix(a, rest, top), adjugate_inverse(block))
+            residual = sub(residual, matmul(left, submatrix(a, top, rest)))
+        lines = ["labels:" + "".join(f" {x}" for x in labels[k:])]
+        lines += [" ".join(str(x) for x in row) for row in residual]
+        lines.append(f"signature: {signature_by_congruence(block)}")
+        if is_integral(block):
+            lines.append(f"h1_order: {abs(block_det)}")
+            seen["integral"] += 1
+        else:
+            seen["fractional"] += 1
+        seen["zero diagonal"] += k > 1 and not any(block[i][i] for i in top)
+        assert (rc, out, err) == (0, "\n".join(lines) + "\n", ""), a
+    assert min(seen.values()) >= 10, seen
 
 
 def test_transitivity_small():
