@@ -64,11 +64,6 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def is_skew_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
-
-
 def is_integral(a: Matrix) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 

@@ -3,8 +3,9 @@
 The skew part F = V - V* of a Seifert matrix V is the intersection pairing
 of the spanning surface. Over the integers, F is congruent to a block sum of
 hyperbolic blocks (0, d; -d, 0) with d_1 | d_2 | ... plus a zero block; the
-d_i are the elementary divisors computed here, and the size of the zero block
-is the corank.
+d_i are the elementary divisors, and the size of the zero block is the
+corank. The Smith form of F lists each d_i twice, so they are read off a
+Smith reduction of F, every other invariant factor.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class SeifertMatrix:
 
 @dataclass(frozen=True)
 class SkewNormalForm:
-    """Result of reducing an integer skew matrix F by unimodular congruence:
-    F is congruent to the block sum of (0, d_i; -d_i, 0) over the elementary
-    divisors d_1 | d_2 | ..., followed by a zero block of size ``corank``.
+    """The congruence class of an integer skew matrix F: F is congruent to
+    the block sum of (0, d_i; -d_i, 0) over the elementary divisors
+    d_1 | d_2 | ..., followed by a zero block of size ``corank``.
     """
 
     elementary_divisors: tuple[int, ...]
@@ -71,83 +72,68 @@ class SkewNormalForm:
 
 
 def skew_normal_form(f) -> SkewNormalForm:
-    """Normal form of an integer skew-symmetric matrix under congruence.
+    """Elementary divisors and corank of an integer skew-symmetric matrix.
 
-    Pivoting is deterministic: the entry of smallest nonzero absolute value
-    wins, ties broken by lowest (row, column). Row operations are always
-    paired with the matching column operations, so each step is a unimodular
-    congruence and the elementary divisors of the input are kept.
+    F is congruent to the block sum of (0, d_i; -d_i, 0) and a zero block
+    (Newman, Integral Matrices, IV.1), so its Smith form is
+    diag(d_1, d_1, d_2, d_2, ..., 0, ...): the invariant factors come in equal
+    pairs, and every other one is an elementary divisor. The reduction uses
+    independent row and column operations: an entry of least nonzero absolute
+    value in the remaining block becomes the pivot, and its row and column are
+    reduced modulo it until both are clear. A pivot that does not divide the
+    remaining block gets a row holding an offending entry added to its own,
+    and the reduction goes on.
     """
     fm = matrices.as_matrix(f)
     if not matrices.is_square(fm):
         raise DomainError("skew normal form needs a square matrix")
     if not matrices.is_integral(fm):
         raise DomainError("skew normal form needs an integer matrix")
-    if not matrices.is_skew_symmetric(fm):
-        raise DomainError("matrix is not skew-symmetric")
     n = len(fm)
     b = [[int(x) for x in row] for row in fm]
-
-    def swap(i: int, j: int) -> None:
-        b[i], b[j] = b[j], b[i]
-        for r in range(n):
-            b[r][i], b[r][j] = b[r][j], b[r][i]
-
-    def row_op(i: int, j: int, c: int) -> None:
-        # row_i += c*row_j paired with col_i += c*col_j
-        b[i] = [x + c * y for x, y in zip(b[i], b[j])]
-        for r in range(n):
-            b[r][i] += c * b[r][j]
-
-    def find_pivot(start: int) -> Optional[tuple[int, int]]:
-        best = None
-        for i in range(start, n):
-            for j in range(i + 1, n):
-                if b[i][j] != 0 and (best is None or abs(b[i][j]) < abs(b[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    divisors: list[int] = []
-    c = 0
-    while c + 1 < n:
-        pivot = find_pivot(c)
-        if pivot is None:
+    if any(b[i][j] != -b[j][i] for i in range(n) for j in range(i, n)):
+        raise DomainError("matrix is not skew-symmetric")
+    # rows and columns before c are clear off the diagonal, so every operation
+    # works on rows and columns c.. only
+    factors: list[int] = []
+    while len(factors) < n:
+        c = len(factors)
+        least, top = 0, c
+        for r in range(c, n):
+            m = min(map(abs, filter(None, b[r][c:])), default=0)
+            if m and (not least or m < least):
+                least, top = m, r
+        if not least:
             break
-        i, j = pivot
-        if i != c:
-            swap(i, c)  # j > i >= c, so the second index is untouched
-        if j != c + 1:
-            swap(j, c + 1)
-        if b[c][c + 1] < 0:
-            swap(c, c + 1)
-        d = b[c][c + 1]
-        # Clear columns c and c+1 below the pivot block; leftover residues are
-        # strictly smaller than d, so re-picking the pivot terminates.
-        clean = True
-        for k in range(c + 2, n):
-            q = b[k][c + 1] // d
+        b[c], b[top] = b[top], b[c]
+        pivot = b[c]
+        j = next(j for j in range(c, n) if abs(pivot[j]) == least)
+        if j != c:
+            for row in b[c:]:
+                row[c], row[j] = row[j], row[c]
+        p = pivot[c]
+        tail = pivot[c:]
+        clear = True
+        for row in b[c + 1 :]:
+            q = row[c] // p
             if q:
-                row_op(k, c, -q)
-            if b[k][c + 1] != 0:
-                clean = False
-            q = b[k][c] // d
+                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+            clear = clear and not row[c]
+        for k in range(c + 1, n):
+            q = pivot[k] // p
             if q:
-                row_op(k, c + 1, q)
-            if b[k][c] != 0:
-                clean = False
-        if not clean:
+                for row in b[c:]:
+                    row[k] -= q * row[c]
+            clear = clear and not pivot[k]
+        if not clear:
             continue
-        # Enforce d | (remaining block) so the divisors form a chain.
-        bad = next(
-            ((i2, j2) for i2 in range(c + 2, n) for j2 in range(i2 + 1, n) if b[i2][j2] % d != 0),
-            None,
-        )
-        if bad is not None:
-            row_op(c, bad[0], 1)
-            continue
-        divisors.append(d)
-        c += 2
-    return SkewNormalForm(tuple(divisors), n - 2 * len(divisors))
+        if least > 1:
+            bad = next((row for row in b[c + 1 :] if any(x % p for x in row[c + 1 :])), None)
+            if bad is not None:
+                b[c] = [x + y for x, y in zip(pivot, bad)]
+                continue
+        factors.append(least)
+    return SkewNormalForm(tuple(factors[::2]), n - len(factors))
 
 
 @dataclass(frozen=True)

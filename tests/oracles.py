@@ -20,7 +20,9 @@ c_series, wheels_from_series or w_nabla. Seifert matrices of positive braid
 closures come with answers from knot theory rather than from their own
 determinant: for torus knots, the closed form of the Alexander polynomial
 and the Brieskorn count of the signature; for any positive braid knot, the
-reduced Burau matrix of the braid.
+reduced Burau matrix of the braid. The generators (unimodular conjugation,
+ladder Seifert matrices, handle slides and blow-ups) build inputs whose
+answer is known by construction or unchanged by the move.
 """
 
 from fractions import Fraction
@@ -419,6 +421,46 @@ def random_symmetric_input(rng, n):
         for i in range(n):
             a[i][i] = Fraction(0)
     return tuple(tuple(row) for row in a)
+
+
+def ladder_seifert_matrix(rng, genus, components):
+    """A Seifert matrix built as the benchmark's genus ladder builds it: a
+    random symmetric matrix plus one unit above the diagonal in each of
+    ``genus`` 2 x 2 blocks, then n paired row and column shears. V - V^T is
+    congruent to ``genus`` unit hyperbolic blocks and a zero block of size
+    ``components`` - 1, so the surface is realizable with that genus and
+    boundary count."""
+    n = 2 * genus + components - 1
+    v = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v[i][j] = v[j][i] = rng.randint(-2, 2)
+    for b in range(genus):
+        v[2 * b][2 * b + 1] += 1
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        v = slide(v, i, j, rng.choice((-1, 1)))
+    return v
+
+
+def slide(a, i, j, sign):
+    """Handle slide of component i over component j of the square matrix a:
+    row i and then column i gain ``sign`` times row and column j, so the
+    framing of i becomes a_ii + 2*sign*a_ij + a_jj. Returns a new list of
+    lists."""
+    m = [list(row) for row in a]
+    m[i] = [x + sign * y for x, y in zip(m[i], m[j])]
+    for row in m:
+        row[i] += sign * row[j]
+    return m
+
+
+def blow_up(labels, surgery, a, sign, label):
+    """A +-1 blow-up: the unknot ``label`` with framing ``sign``, linked with
+    nothing, joins the surgery sublink. Returns (labels, surgery, matrix)."""
+    n = len(a)
+    m = [list(row) + [0] for row in a] + [[0] * n + [sign]]
+    return [*labels, label], [*surgery, label], m
 
 
 def wick_pair_by_permutations(left, right, glue_labels):

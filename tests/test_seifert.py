@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import matmul, random_unimodular, rank_by_minors, skew_divisors_by_pfaffians
+from oracles import (
+    ladder_seifert_matrix,
+    matmul,
+    random_unimodular,
+    rank_by_minors,
+    skew_divisors_by_pfaffians,
+)
 from nabla_lmo.errors import DomainError
 from nabla_lmo.matrices import as_matrix, det, sub, transpose
 from nabla_lmo.seifert import (
@@ -96,6 +102,43 @@ def test_skew_normal_form_matches_pfaffian_divisors():
         assert all(d > 0 for d in divisors)
         assert all(divisors[i + 1] % divisors[i] == 0 for i in range(len(divisors) - 1))
         assert 2 * len(divisors) + nf.corank == len(a)
+
+
+def test_skew_normal_form_repairs_chains_at_ladder_sizes():
+    """Past the Pfaffian oracle's reach (n <= 8) the chain is known from the
+    construction: a unimodular conjugate of hyperbolic blocks (0, d; -d, 0)
+    whose d do not divide each other, padded with unit blocks and a zero
+    block of size 0-2. The reduction must repair the chain: blocks 2, 3 give
+    (1, 6), blocks 4, 6 give (2, 12) and blocks 6, 10, 15 give (1, 30, 30)."""
+    rng = random.Random(43)
+    for blocks, chain in (((2, 3), (1, 6)), ((4, 6), (2, 12)), ((6, 10, 15), (1, 30, 30))):
+        for size in (10, 18, 26):
+            for corank in range(3):
+                units = (size - corank) // 2 - len(blocks)
+                ds = [1] * units + list(blocks)
+                rng.shuffle(ds)
+                n = 2 * len(ds) + corank
+                a = [[0] * n for _ in range(n)]
+                for i, d in enumerate(ds):
+                    a[2 * i][2 * i + 1], a[2 * i + 1][2 * i] = d, -d
+                p = [[int(x) for x in row] for row in random_unimodular(rng, n, steps=2 * n)]
+                nf = skew_normal_form(matmul(matmul(p, a), transpose(p)))
+                assert (nf.elementary_divisors, nf.corank) == ((1,) * units + chain, corank)
+
+
+def test_realizability_at_ladder_sizes():
+    """Seifert matrices built as the benchmark's genus ladder builds them,
+    genus 2-12 with 1-3 boundary components, are realizable with exactly
+    that genus and boundary count."""
+    rng = random.Random(47)
+    for genus in range(2, 13):
+        for components in (1, 2, 3):
+            report = realizability_report(SeifertMatrix(ladder_seifert_matrix(rng, genus, components)))
+            assert (report.realizable_in_s3, report.genus, report.boundary_components) == (
+                True,
+                genus,
+                components,
+            )
 
 
 def test_divisors_are_congruence_invariant():

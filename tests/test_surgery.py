@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     TORUS_KNOTS,
     adjugate_inverse,
+    blow_up,
     brieskorn_signature_pair,
     det_cofactor,
     matmul,
@@ -17,6 +18,7 @@ from oracles import (
     random_unimodular,
     signature_by_congruence,
     signature_by_descartes,
+    slide,
     torus_braid,
 )
 from nabla_lmo.cli import main
@@ -198,6 +200,63 @@ def test_surgery_command_matches_oracles(capsys, tmp_path):
         seen["zero diagonal"] += k > 1 and not any(block[i][i] for i in top)
         assert (rc, out, err) == (0, "\n".join(lines) + "\n", ""), a
     assert min(seen.values()) >= 10, seen
+
+
+def test_kirby_moves_through_the_cli(capsys, tmp_path):
+    """Kirby moves on seeded links (k 1-5, r 0-4, a nonsingular integral
+    surgery block P D P^T): a slide of a surgery component over another, or
+    of a residual component over a surgery component, leaves the `surgery`
+    output unchanged, and an unlinked +-1 blow-up shifts only its signature
+    pair, by (1, 0) or (0, 1). `aarhus-struts --route both` is unchanged
+    under all three moves."""
+    rng = random.Random(14)
+    path = tmp_path / "link.json"
+
+    def run(command, labels, surgery, a):
+        rows = [[str(x) for x in row] for row in a]
+        path.write_text(json.dumps({"labels": labels, "surgery": surgery, "matrix": rows}))
+        route = ["--route", "both"] if command == "aarhus-struts" else []
+        rc = main([command, "--linking", str(path), *route])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, ""), (command, a)
+        return out
+
+    seen = Counter()
+    for _ in range(60):
+        k, r = rng.randint(1, 5), rng.randint(0, 4)
+        labels = [f"x{i}" for i in range(k)] + [f"a{i}" for i in range(r)]
+        surgery = labels[:k]
+        a = [[0] * (k + r) for _ in range(k + r)]
+        for i in range(k):
+            a[i][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for i in range(k + r):
+            for j in range(max(i, k), k + r):
+                a[i][j] = a[j][i] = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        for _ in range(k if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            a = slide(a, i, j, rng.choice((-1, 1)))
+        surgery_out = run("surgery", labels, surgery, a)
+        struts_out = run("aarhus-struts", labels, surgery, a)
+
+        slides = []
+        if k > 1:
+            slides.append(slide(a, *rng.sample(range(k), 2), rng.choice((-1, 1))))
+        if r:
+            slides.append(slide(a, rng.randrange(k, k + r), rng.randrange(k), rng.choice((-1, 1))))
+        for moved in slides:
+            assert run("surgery", labels, surgery, moved) == surgery_out, moved
+            assert run("aarhus-struts", labels, surgery, moved) == struts_out, moved
+            seen["slide"] += 1
+
+        sign = rng.choice((-1, 1))
+        blown = blow_up(labels, surgery, a, sign, "e")
+        line = next(x for x in surgery_out.splitlines() if x.startswith("signature: "))
+        pos, neg = (int(x) for x in line[len("signature: (") : -1].split(", "))
+        shifted = f"signature: {(pos + (sign > 0), neg + (sign < 0))}"
+        assert run("surgery", *blown) == surgery_out.replace(line, shifted), a
+        assert run("aarhus-struts", *blown) == struts_out, a
+        seen[f"blow-up {sign:+d}"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_transitivity_small():
