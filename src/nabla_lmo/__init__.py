@@ -1,96 +1,51 @@
 """Exact calculator for Conway-normalized Alexander polynomials of links
 and rank-one manifolds, surgery linking calculus, formal Gaussian strut
-integration, and the even-wheel data they determine."""
+integration, and the even-wheel data they determine.
 
-from .alexander import (
-    NablaResult,
-    nabla_from_seifert,
-    normalize_delta,
-)
-from .errors import DomainError, ParseError
-from .gaussian import (
-    StrutPolynomial,
-    StrutQuadratic,
-    gaussian_pair,
-    left_pairing_factor,
-    right_pairing_factor,
-    strut_part_of_aarhus,
-    wick_pair,
-)
-from .hseries import (
-    DEFAULT_ORDER,
-    HSeries,
-    c_series,
-    substitute_exp,
-)
-from .laurent import HalfLaurent, ZPoly, rewrite_in_z
-from .mmr import (
-    LmoWheelData,
-    aarhus_wheels,
-    lmo_wheel_data,
-    mmr_series,
-    nabla_from_lmo_wheel_data,
-    nu_wheels,
-)
-from .seifert import (
-    RealizabilityReport,
-    SeifertMatrix,
-    SkewNormalForm,
-    realizability_report,
-    skew_normal_form,
-)
-from .surgery import (
-    FramedLinkMatrix,
-    signature_pair,
-    surgery_transform,
-)
-from .wheels import (
-    WheelPolynomial,
-    WheelSeries,
-    rescale_degree,
-    w_nabla,
-    wheels_from_series,
-)
+Importing the package loads none of its modules: each exported name loads
+its home module on first access (PEP 562), so a command pays only for the
+modules it runs."""
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "DomainError",
-    "FramedLinkMatrix",
-    "HSeries",
-    "HalfLaurent",
-    "LmoWheelData",
-    "NablaResult",
-    "ParseError",
-    "RealizabilityReport",
-    "SeifertMatrix",
-    "SkewNormalForm",
-    "StrutPolynomial",
-    "StrutQuadratic",
-    "WheelPolynomial",
-    "WheelSeries",
-    "ZPoly",
-    "aarhus_wheels",
-    "c_series",
-    "gaussian_pair",
-    "left_pairing_factor",
-    "lmo_wheel_data",
-    "mmr_series",
-    "nabla_from_lmo_wheel_data",
-    "nabla_from_seifert",
-    "normalize_delta",
-    "nu_wheels",
-    "realizability_report",
-    "rescale_degree",
-    "rewrite_in_z",
-    "right_pairing_factor",
-    "signature_pair",
-    "skew_normal_form",
-    "strut_part_of_aarhus",
-    "substitute_exp",
-    "surgery_transform",
-    "w_nabla",
-    "wheels_from_series",
-    "wick_pair",
-]
+import importlib
+
+#: Home module of each exported name.
+_EXPORTS = {
+    "alexander": ("NablaResult", "nabla_from_seifert", "normalize_delta"),
+    "errors": ("DomainError", "ParseError"),
+    "gaussian": (
+        "StrutPolynomial", "StrutQuadratic", "gaussian_pair", "left_pairing_factor",
+        "right_pairing_factor", "strut_part_of_aarhus", "wick_pair",
+    ),
+    "hseries": ("HSeries", "c_series", "substitute_exp"),
+    "laurent": ("HalfLaurent", "ZPoly", "rewrite_in_z"),
+    "limits": ("DEFAULT_ORDER",),
+    "mmr": (
+        "LmoWheelData", "aarhus_wheels", "lmo_wheel_data", "mmr_series",
+        "nabla_from_lmo_wheel_data", "nu_wheels",
+    ),
+    "seifert": (
+        "RealizabilityReport", "SeifertMatrix", "SkewNormalForm", "realizability_report",
+        "skew_normal_form",
+    ),
+    "surgery": ("FramedLinkMatrix", "signature_pair", "surgery_transform"),
+    "wheels": (
+        "WheelPolynomial", "WheelSeries", "rescale_degree", "w_nabla", "wheels_from_series",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

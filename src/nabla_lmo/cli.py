@@ -10,34 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import _terms
-from .alexander import NablaResult, nabla_from_seifert, normalize_delta
 from .errors import DomainError, ParseError
-from .fixtures import load_fixtures
-from .gaussian import MAX_WICK_PAIRS, gaussian_pair, strut_part_of_aarhus
-from .hseries import DEFAULT_ORDER, MAX_ORDER
-from .matrices import Matrix, is_integral
-from .mmr import (
-    MAX_TOR_DIGITS,
-    aarhus_wheels,
-    lmo_wheel_data,
-    mmr_series,
-    nabla_from_lmo_wheel_data,
-)
-from .parsing import (
-    lmo_data_to_json,
-    parse_half_laurent,
-    parse_h_series,
-    parse_z_poly,
-    read_linking_file,
-    read_lmo_file,
-    read_seifert_file,
-    read_text,
-)
-from .surgery import _integrate_out
-from .wheels import wheels_from_series
+from .limits import DEFAULT_ORDER, MAX_ORDER, MAX_TOR_DIGITS, MAX_WICK_PAIRS
+
+if TYPE_CHECKING:
+    from .alexander import NablaResult
+    from .matrices import Matrix
 
 
 def _resolve_order(value: Optional[int]) -> int:
@@ -69,16 +50,26 @@ def _labeled_matrix_text(labels: Sequence[str], m: Matrix) -> list[str]:
 
 
 def _cmd_nabla(args) -> str:
+    from .alexander import nabla_from_seifert
+    from .parsing import read_seifert_file
+
     matrix, components = read_seifert_file(args.seifert)
     return _nabla_text(nabla_from_seifert(matrix, components))
 
 
 def _cmd_normalize_delta(args) -> str:
+    from .alexander import normalize_delta
+    from .parsing import parse_half_laurent
+
     delta = parse_half_laurent(args.delta)
     return _nabla_text(normalize_delta(delta, args.h1))
 
 
 def _cmd_surgery(args) -> str:
+    from .matrices import is_integral
+    from .parsing import read_linking_file
+    from .surgery import _integrate_out
+
     m = read_linking_file(args.linking)
     residual, block_det, signature = _integrate_out(m, m.entries)
     lines = _labeled_matrix_text(m.residual_labels, residual)
@@ -89,6 +80,9 @@ def _cmd_surgery(args) -> str:
 
 
 def _cmd_aarhus_struts(args) -> str:
+    from .gaussian import gaussian_pair, strut_part_of_aarhus
+    from .parsing import read_linking_file
+
     m = read_linking_file(args.linking)
     k, r = len(m.surgery_labels), len(m.residual_labels)
     # k = 0 still expands the r(r+1)/2 residual struts, so it counts as k = 1
@@ -115,13 +109,21 @@ def _cmd_aarhus_struts(args) -> str:
 
 
 def _cmd_mmr(args) -> str:
+    from .mmr import mmr_series
+    from .parsing import read_seifert_file
+
     matrix, components = read_seifert_file(args.seifert)
     return str(mmr_series(matrix, components, _resolve_order(args.order)))
 
 
 def _cmd_wheels(args) -> str:
+    from .parsing import parse_h_series, read_seifert_file, read_text
+    from .wheels import wheels_from_series
+
     order = _resolve_order(args.order)
     if args.from_seifert is not None:
+        from .mmr import aarhus_wheels
+
         matrix, components = read_seifert_file(args.from_seifert)
         if components != 1:
             raise DomainError("wheel data is defined for knots (1 component)")
@@ -138,6 +140,8 @@ def _cmd_wheels(args) -> str:
 
 def _wheel_data_text(data, as_json: bool) -> str:
     if as_json:
+        from .parsing import lmo_data_to_json
+
         return lmo_data_to_json(data)
     return (
         f"order: {data.order}\n"
@@ -156,6 +160,9 @@ def _refuse_flags(mode: str, flags: dict) -> None:
 
 
 def _cmd_lmo(args) -> str:
+    from .mmr import lmo_wheel_data, nabla_from_lmo_wheel_data
+    from .parsing import parse_z_poly, read_lmo_file
+
     if args.invert is not None:
         _refuse_flags("--invert", {"--tor": args.tor, "--order": args.order, "--json": args.json})
         if args.max_z_degree is not None and args.max_z_degree < 0:
@@ -173,6 +180,9 @@ def _cmd_lmo(args) -> str:
 
 
 def _cmd_roundtrip(args) -> str:
+    from .mmr import lmo_wheel_data, nabla_from_lmo_wheel_data
+    from .parsing import parse_z_poly
+
     p = parse_z_poly(args.nabla)
     order = _resolve_order(args.order)
     tor = _resolve_tor(args.tor)
@@ -184,6 +194,8 @@ def _cmd_roundtrip(args) -> str:
 
 
 def _cmd_fixtures(args) -> str:
+    from .fixtures import load_fixtures
+
     lines = []
     for fx in load_fixtures():
         rows = "[" + ", ".join(

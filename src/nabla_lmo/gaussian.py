@@ -51,14 +51,6 @@ Term = tuple[Strut, ...]
 
 DUAL_MARK = "∂"
 
-#: Largest count k·r of mixed linking pairs (k surgery, r residual components)
-#: ``aarhus-struts --route wick|both`` accepts; k = 0 counts as k = 1, since
-#: the r(r+1)/2 residual struts are still expanded. On a 2-vCPU Xeon host with
-#: Python 3.11, ``--route wick`` on dense links takes 8.7 s at k1 r600, 2.4 s
-#: at k24 r25 and 6.3 s at k150 r4; at k·r = 900, 5.2 s at k30 r30 but 20 s
-#: at k1 r900.
-MAX_WICK_PAIRS = 600
-
 
 def dual_label(label: str) -> str:
     """The ∂-label glued against ordinary legs of the same color."""

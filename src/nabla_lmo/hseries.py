@@ -39,21 +39,9 @@ from typing import Sequence, Union
 from . import _terms
 from .errors import DomainError
 from .laurent import HalfLaurent, ZPoly
+from .limits import DEFAULT_ORDER, MAX_ORDER
 
 Scalar = Union[int, Fraction]
-
-#: Truncation order used when none is requested explicitly.
-DEFAULT_ORDER = 16
-
-#: Largest truncation order the command line and the wheel data reader
-#: accept, and so the largest z exponent an expression may carry (a z-degree
-#: above the order is rejected anyway). On a 2-vCPU Xeon host with Python
-#: 3.11, at order 256 and first call included: ``lmo_wheel_data`` and
-#: ``nabla_from_lmo_wheel_data`` take 0.02-0.05 s, ``wheels_from_series``
-#: 0.02 s on a degree-8 series and 0.1 s on a dense one with unrelated
-#: denominators, and ``mmr_series`` 0.016 s on the trefoil and 0.03 s at
-#: genus 3 (it multiplies c(h) only into the constant term of nabla).
-MAX_ORDER = 256
 
 
 class HSeries:

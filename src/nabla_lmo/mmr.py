@@ -44,8 +44,6 @@ from . import _terms
 from .alexander import nabla_from_seifert
 from .errors import DomainError
 from .hseries import (
-    DEFAULT_ORDER,
-    MAX_ORDER,
     HSeries,
     c_series,
     even_bernoulli,
@@ -54,19 +52,9 @@ from .hseries import (
     z_poly_log,
 )
 from .laurent import ZPoly
+from .limits import DEFAULT_ORDER, MAX_ORDER
 from .seifert import SeifertMatrix
 from .wheels import WheelSeries, log_of_wheels, wheels_of_log
-
-
-#: Most decimal digits a torsion order may have: ``lmo --tor``,
-#: ``roundtrip --tor`` and the ``"h1_order"`` of a wheel data file must be
-#: below 10^MAX_TOR_DIGITS. Degree-2n data scales by r^(2n), so the cost
-#: grows with the digits of r. On a 2-vCPU Xeon host with Python 3.11, at
-#: order 256 and a 64-digit r, ``lmo --invert`` takes 4-5.5 s and
-#: ``lmo --nabla`` 0.2-0.3 s (both end in exit 1, a number too long to
-#: print); with no limit, a 200-digit ``"h1_order"`` took 30 s and a
-#: 500-digit one over 60 s.
-MAX_TOR_DIGITS = 64
 
 
 @lru_cache(maxsize=MAX_ORDER + 1)

@@ -23,15 +23,19 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _terms
 from .errors import DomainError, ParseError
-from .hseries import MAX_ORDER, HSeries
-from .laurent import HalfLaurent, ZPoly
-from .mmr import MAX_TOR_DIGITS, LmoWheelData, nu_wheels
-from .seifert import SeifertMatrix
-from .surgery import FramedLinkMatrix
-from .wheels import WheelSeries
+from .limits import MAX_LINK_LABELS, MAX_ORDER, MAX_TOR_DIGITS
+
+if TYPE_CHECKING:
+    from .hseries import HSeries
+    from .laurent import HalfLaurent, ZPoly
+    from .mmr import LmoWheelData
+    from .seifert import SeifertMatrix
+    from .surgery import FramedLinkMatrix
+    from .wheels import WheelSeries
 
 _TERM = re.compile(
     r"""
@@ -119,6 +123,8 @@ def _scan_terms(text: str, var: str) -> tuple[dict[int, Fraction], int | None]:
 
 def parse_half_laurent(text: str) -> HalfLaurent:
     """Parse a polynomial in t, whose exponents may be half-integers."""
+    from .laurent import HalfLaurent
+
     coeffs, _ = _scan_terms(text, "t")
     if coeffs and max(coeffs) - min(coeffs) > 2 * MAX_ORDER:
         raise ParseError(
@@ -131,6 +137,8 @@ def parse_half_laurent(text: str) -> HalfLaurent:
 
 def parse_z_poly(text: str) -> ZPoly:
     """Parse a polynomial in z whose exponents share one parity."""
+    from .laurent import ZPoly
+
     powers, _ = _scan_terms(text, "z")
     if not powers:
         return ZPoly(0, ())
@@ -148,6 +156,8 @@ def parse_z_poly(text: str) -> ZPoly:
 def parse_h_series(text: str, order: int) -> HSeries:
     """Parse h-polynomial text into a series at the given order; a trailing
     O(h^N) marker must agree with that order."""
+    from .hseries import HSeries
+
     powers, o_order = _scan_terms(text, "h")
     if o_order is not None and o_order != order:
         raise ParseError(f"O(h^{o_order + 1}) marker disagrees with order {order}")
@@ -224,6 +234,8 @@ def _matrix_rows(data, path: str):
 def read_seifert_file(path: str) -> tuple[SeifertMatrix, int]:
     """Read a Seifert matrix JSON file: {"matrix": [...], "components"?,
     "name"?}. Returns (matrix, components); the name is checked, not kept."""
+    from .seifert import SeifertMatrix
+
     data = _load_json(path)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ParseError(f"{path}: expected an object with a \"matrix\" key")
@@ -243,7 +255,10 @@ def read_seifert_file(path: str) -> tuple[SeifertMatrix, int]:
 
 def read_linking_file(path: str) -> FramedLinkMatrix:
     """Read a linking matrix JSON file: {"labels": [...], "surgery": [...],
-    "matrix": [...]} with the matrix indexed by the labels order."""
+    "matrix": [...]} with the matrix indexed by the labels order; at most
+    ``MAX_LINK_LABELS`` labels, checked before any entry is converted."""
+    from .surgery import FramedLinkMatrix
+
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -254,6 +269,10 @@ def read_linking_file(path: str) -> FramedLinkMatrix:
     surgery = data["surgery"]
     if not isinstance(labels, list) or any(not isinstance(x, str) for x in labels):
         raise ParseError(f"{path}: \"labels\" must be an array of strings")
+    if len(labels) > MAX_LINK_LABELS:
+        raise ParseError(
+            f"{path}: \"labels\" may list at most {MAX_LINK_LABELS} components, got {len(labels)}"
+        )
     if not isinstance(surgery, list) or any(not isinstance(x, str) for x in surgery):
         raise ParseError(f"{path}: \"surgery\" must be an array of strings")
     rows = _matrix_rows(data["matrix"], path)
@@ -279,6 +298,8 @@ def lmo_data_to_json(data: LmoWheelData) -> str:
 
 
 def _wheels_from_json(obj, context: str) -> WheelSeries:
+    from .wheels import WheelSeries
+
     if not isinstance(obj, dict):
         raise ParseError(f"{context}: expected an object of index -> coefficient")
     coeffs = {}
@@ -298,6 +319,8 @@ def _wheels_from_json(obj, context: str) -> WheelSeries:
 
 def read_lmo_file(path: str) -> LmoWheelData:
     """Read wheel data JSON as written by ``lmo_data_to_json``."""
+    from .mmr import LmoWheelData, nu_wheels
+
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")

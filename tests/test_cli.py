@@ -11,9 +11,9 @@ import pytest
 import nabla_lmo
 from nabla_lmo import matrices
 from nabla_lmo.cli import main
-from nabla_lmo.gaussian import MAX_WICK_PAIRS, strut_part_of_aarhus
-from nabla_lmo.hseries import MAX_ORDER
-from nabla_lmo.mmr import MAX_TOR_DIGITS, nu_wheels
+from nabla_lmo.gaussian import strut_part_of_aarhus
+from nabla_lmo.limits import MAX_LINK_LABELS, MAX_ORDER, MAX_TOR_DIGITS, MAX_WICK_PAIRS
+from nabla_lmo.mmr import nu_wheels
 
 TREFOIL_JSON = '{"matrix": [["-1", "1"], ["0", "-1"]], "name": "trefoil"}'
 HOPF_SURGERY_JSON = (
@@ -156,16 +156,16 @@ def test_aarhus_struts_wick_limit(capsys, monkeypatch, tmp_path):
     def refuse(m):
         raise AssertionError("a route ran past the limit")
 
-    monkeypatch.setattr("nabla_lmo.cli.gaussian_pair", stub)
+    monkeypatch.setattr("nabla_lmo.gaussian.gaussian_pair", stub)
     for route in ("wick", "both"):
         rc, out, err = run(capsys, "aarhus-struts", "--linking", at_limit, "--route", route)
         assert (rc, err) == (0, "")
         assert out.startswith("labels: a0 a1 ")
     assert len(calls) == 2
 
-    monkeypatch.setattr("nabla_lmo.cli.gaussian_pair", refuse)
+    monkeypatch.setattr("nabla_lmo.gaussian.gaussian_pair", refuse)
     with monkeypatch.context() as patch:
-        patch.setattr("nabla_lmo.cli.strut_part_of_aarhus", refuse)
+        patch.setattr("nabla_lmo.gaussian.strut_part_of_aarhus", refuse)
         for route in ("wick", "both"):
             assert run(capsys, "aarhus-struts", "--linking", past_limit, "--route", route) == (
                 2,
@@ -206,6 +206,57 @@ def test_aarhus_struts_wick_limit_counts_no_surgery_as_one(capsys, monkeypatch, 
             )
         rc, _, err = run(capsys, "aarhus-struts", "--linking", link_file(k, 4), "--route", "schur")
         assert (rc, err) == (0, "")
+
+
+LINK_COMMANDS = (
+    ("surgery",),
+    ("aarhus-struts", "--route", "schur"),
+    ("aarhus-struts", "--route", "wick"),
+    ("aarhus-struts", "--route", "both"),
+)
+
+
+def label_limit_file(tmp_path, n):
+    """A linking file of n labels, the first one surgered: 2 on the
+    diagonal and 1 elsewhere."""
+    labels = [f"x{i}" for i in range(n)]
+    rows = [["2" if i == j else "1" for j in labels] for i in labels]
+    path = tmp_path / f"n{n}.json"
+    path.write_text(json.dumps({"labels": labels, "surgery": labels[:1], "matrix": rows}))
+    return str(path)
+
+
+def test_linking_label_limit(capsys, monkeypatch, tmp_path):
+    """A linking file may list MAX_LINK_LABELS labels; one more is refused,
+    for every command that reads one."""
+    monkeypatch.setattr("nabla_lmo.parsing.MAX_LINK_LABELS", 3)
+    at_limit, past_limit = label_limit_file(tmp_path, 3), label_limit_file(tmp_path, 4)
+    for command in LINK_COMMANDS:
+        rc, out, err = run(capsys, command[0], "--linking", at_limit, *command[1:])
+        assert (rc, err) == (0, "")
+        assert out.startswith("labels: x1 x2\n")
+        assert run(capsys, command[0], "--linking", past_limit, *command[1:]) == (
+            2, "", f'error: {past_limit}: "labels" may list at most 3 components, got 4\n'
+        )
+
+
+def test_linking_label_limit_is_checked_before_the_entries(capsys, monkeypatch, tmp_path):
+    """A real file one label past MAX_LINK_LABELS is refused before any
+    entry is converted or eliminated."""
+    path = label_limit_file(tmp_path, MAX_LINK_LABELS + 1)
+
+    def refuse(*args):
+        raise AssertionError("the matrix was read past the label limit")
+
+    monkeypatch.setattr("nabla_lmo.parsing._rational", refuse)
+    monkeypatch.setattr(matrices, "_eliminate", refuse)
+    for command in LINK_COMMANDS:
+        assert run(capsys, command[0], "--linking", path, *command[1:]) == (
+            2,
+            "",
+            f'error: {path}: "labels" may list at most {MAX_LINK_LABELS} components, '
+            f"got {MAX_LINK_LABELS + 1}\n",
+        )
 
 
 def test_surgery_commands_multiply_no_matrices(capsys, tmp_path, hopf_file):
@@ -353,7 +404,7 @@ def test_torsion_order_limit(capsys, monkeypatch, tmp_path, entry):
     def no_wheels(*args):
         raise AssertionError("wheel arithmetic started")
 
-    for name in ("mmr._unknot", "mmr.z_poly_log", "mmr.z_poly_exp", "parsing.nu_wheels"):
+    for name in ("mmr._unknot", "mmr.z_poly_log", "mmr.z_poly_exp", "mmr.nu_wheels"):
         monkeypatch.setattr(f"nabla_lmo.{name}", no_wheels)
     where = f'{path}: "h1_order"' if entry == "h1_order" else "--tor"
     for tor, digits in ((largest + 1, MAX_TOR_DIGITS + 1), (int("9" * 4000), 4000)):
@@ -625,7 +676,7 @@ def test_order_and_exponent_limits(capsys, monkeypatch, tmp_path, trefoil_file):
         raise AssertionError("series work started")
 
     for name in (
-        "mmr.c_series", "mmr.nu_wheels", "parsing.nu_wheels", "mmr._unknot",
+        "mmr.c_series", "mmr.nu_wheels", "mmr._unknot",
         "hseries._tangent_numbers", "hseries.even_bernoulli", "mmr.even_bernoulli",
         "hseries._cf_second_kind", "hseries._cf_first_kind",
     ):

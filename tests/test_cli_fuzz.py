@@ -1,8 +1,8 @@
 """Seeded fuzz test of the command-line contract.
 
 Mutated README expressions, a mutated fixture Seifert file, a mutated
-README linking file and mutated README wheel data go through ``cli.main``
-in-process. Every run must end in exit 0, 1 or 2 (argparse's
+README linking file, mutated README wheel data and a linking file one label
+past ``MAX_LINK_LABELS`` go through ``cli.main`` in-process. Every run must end in exit 0, 1 or 2 (argparse's
 ``SystemExit(2)`` counts as 2) with no other exception escaping, and a
 second run of the same argv must print the same bytes.
 """
@@ -15,6 +15,7 @@ import pytest
 
 from nabla_lmo.cli import main
 from nabla_lmo.fixtures import load_fixtures
+from nabla_lmo.limits import MAX_LINK_LABELS
 from test_readme import examples, usage_block
 
 CASES = 300
@@ -109,6 +110,12 @@ def argvs(rng, exprs, seifert, linking, wheels, tmp_path):
         if rng.random() < 0.5:
             argv += ["--max-z-degree", rng.choice(("0", "2", "4", "8"))]
         yield argv, text
+    labels = [f"a{i}" for i in range(MAX_LINK_LABELS + 1)]
+    rows = [[int(i == j) for j in range(len(labels))] for i in range(len(labels))]
+    text = json.dumps({"labels": labels, "surgery": labels[:1], "matrix": rows})
+    linking_file.write_text(text, encoding="utf-8")
+    for argv in (["surgery"], ["aarhus-struts", "--route", "schur"]):
+        yield argv + ["--linking", str(linking_file)], f"{len(labels)} labels"
 
 
 def outcome(capsys, argv, text):

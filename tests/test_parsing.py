@@ -273,7 +273,7 @@ def test_t_exponent_limit(monkeypatch):
     top = f"t^{MAX_ORDER // 2} + t^-{MAX_ORDER // 2}"
     assert parse_half_laurent(top).support == (-MAX_ORDER, MAX_ORDER)
     assert parse_half_laurent("t^4000000 - t^4000000 + t") == HalfLaurent({2: 1})
-    monkeypatch.setattr("nabla_lmo.parsing.HalfLaurent", None)  # no Laurent work
+    monkeypatch.setattr("nabla_lmo.laurent.HalfLaurent", None)  # no Laurent work
     for text in (
         f"t^{MAX_ORDER // 2 + 1} + 1 + t^-{MAX_ORDER // 2}",
         f"t^({MAX_ORDER + 1}/2) + t^(-{MAX_ORDER + 1}/2)",
@@ -331,7 +331,7 @@ def test_lmo_file_order_limit_is_checked_before_series_work(tmp_path, monkeypatc
     def no_series(order):
         raise AssertionError(f"nu_wheels({order}) was built")
 
-    monkeypatch.setattr("nabla_lmo.parsing.nu_wheels", no_series)
+    monkeypatch.setattr("nabla_lmo.mmr.nu_wheels", no_series)
     path = tmp_path / "big.json"
     for order in (MAX_ORDER + 1, 4096):
         path.write_text(json.dumps(
