@@ -40,6 +40,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    """An exported name, read from its home module on first access and kept
+    in the package namespace from then on."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

@@ -2,9 +2,10 @@
 
 Mutated README expressions, a mutated fixture Seifert file, a mutated
 README linking file, mutated README wheel data and a linking file one label
-past ``MAX_LINK_LABELS`` go through ``cli.main`` in-process. Every run must end in exit 0, 1 or 2 (argparse's
-``SystemExit(2)`` counts as 2) with no other exception escaping, and a
-second run of the same argv must print the same bytes.
+past ``MAX_LINK_LABELS`` go through ``cli.main`` in-process. Every run must
+end in exit 0, 1 or 2 (argparse's ``SystemExit(2)`` counts as 2) with no
+other exception escaping, and a second run of the same argv must print the
+same bytes.
 """
 
 import json
